@@ -31,9 +31,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .lattice import Params, label_to_offset
+from .lattice import Params, corner_floats
 from .percolation import derive_seed, sample_nonextinct
-from .substitution import FlaggedTree, comparability_ratio, compute_flags
+from .substitution import FlaggedTree, comparability_ratio, compute_flags, level_table
 
 BISECT_ITERATIONS = 200
 
@@ -257,12 +257,6 @@ def partition_sum(ftree: FlaggedTree, s: float, n: int) -> PartitionSum:
         (int(length), int(c)) for length, c in enumerate(counts) if c > 0
     )
     return PartitionSum(ftree.params.m, s, n, pairs)
-
-
-def partition_series(
-    ftree: FlaggedTree, s_values, n_values
-) -> list[PartitionSum]:
-    return [partition_sum(ftree, s, n) for s in s_values for n in n_values]
 
 
 @lru_cache(maxsize=4)
@@ -634,43 +628,6 @@ class QsScan:
         }
 
 
-def _corner_batch(ftree: FlaggedTree, level: int, nodes: np.ndarray):
-    """Float corners of the source boxes and their rewritten images for
-    a batch of level-`level` survivor indices, walked level by level so
-    the cost is O(level * batch) regardless of tree size."""
-    tree = ftree.tree
-    pr = ftree.params
-    m = pr.m
-    invm = 1.0 / m
-    offs = np.array(
-        [label_to_offset(pr, l) for l in range(1, pr.alphabet_size + 1)],
-        dtype=np.float64,
-    )
-    eta_vec = np.zeros(pr.d)
-    for j, e in enumerate(pr.eta):
-        eta_vec += offs[e - 1] * m ** (-(j + 1))
-    chain = [None] * (level + 1)
-    chain[level] = nodes
-    for n in range(level, 0, -1):
-        chain[n - 1] = tree.parents[n][chain[n]]
-    src = np.zeros((nodes.shape[0], pr.d))
-    img = np.zeros((nodes.shape[0], pr.d))
-    # per-node scale m^{-(rewritten length so far)}; insertions shrink it by m^{-K}
-    iscale = np.ones(nodes.shape[0])
-    sscale = 1.0
-    for n in range(level):
-        flagged = ftree.flags[n][chain[n]]
-        if flagged.any():
-            img[flagged] += iscale[flagged, None] * eta_vec
-            iscale[flagged] *= float(m) ** (-pr.k)
-        o = offs[tree.labels[n + 1][chain[n + 1]] - 1]
-        sscale *= invm
-        src += o * sscale
-        iscale *= invm
-        img += o * iscale[:, None]
-    return src, img
-
-
 def qs_ratio_scan(
     ftree: FlaggedTree, level: int, triples: int, seed: int, exact_pairs: int = 512
 ) -> QsScan:
@@ -704,7 +661,9 @@ def qs_ratio_scan(
     kept = picks[use]
     if kept.shape[0]:
         nodes = np.unique(kept)
-        src, img = _corner_batch(ftree, level, nodes)
+        src_nums, img_nums = level_table(ftree, level, nodes)
+        src = corner_floats(pr.m, src_nums, level)
+        img = corner_floats(pr.m, img_nums, ftree.tilde_lengths[level][nodes])
         rows = np.searchsorted(nodes, kept)
         xs, ys, zs = rows[:, 0], rows[:, 1], rows[:, 2]
         # distinct survivors have distinct corners and (tilde is injective)
@@ -751,14 +710,3 @@ def report_json_bytes(command: str, config: dict, results: dict, passed=None) ->
     if passed is not None:
         obj["pass"] = bool(passed)
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode("ascii")
-
-
-def write_series_csv(path, rows) -> None:
-    """Tabular series: rows of (quantity, s, n, value, stderr, seed_count)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "s", "n", "value", "stderr", "seed_count"])
-        for row in rows:
-            writer.writerow(list(row))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, globalmap, percolation, substitution
 from .errors import CapacityError, DomainError, PreconditionError
-from .lattice import Params, pi_finite
+from .lattice import Params, corner_floats, pi_finite
 from .percolation import DEFAULT_NODE_BUDGET, derive_seed
 
 EXIT_OK = 0
@@ -69,14 +69,24 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 def _params(args) -> Params:
     eta = None
     if args.eta:
-        eta = tuple(int(x) for x in args.eta.split(","))
+        try:
+            eta = tuple(int(x) for x in args.eta.split(","))
+        except ValueError:
+            raise DomainError(
+                f"--eta takes comma-separated integer labels, got {args.eta!r}"
+            ) from None
     return Params(m=args.M, d=args.d, p=args.p, k=args.K, eta=eta)
 
 
 def _node_budget(args) -> int:
     env = os.environ.get("PERCOQS_NODE_BUDGET")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise DomainError(
+                f"PERCOQS_NODE_BUDGET must be an integer, got {env!r}"
+            ) from None
     if args.node_budget is not None:
         return args.node_budget
     return DEFAULT_NODE_BUDGET
@@ -146,7 +156,8 @@ def render_svg(tree, levels, image=False, px=220, gap=14) -> str:
     params = tree.params
     if params.d != 2:
         raise DomainError(f"rendering is 2-d only, got d={params.d}")
-    ftree = substitution.compute_flags(tree) if image else None
+    # a depth-0 tree has no flags; its only level, the root, needs none
+    ftree = substitution.compute_flags(tree) if tree.depth or image else None
     parts = []
     width = len(levels) * (px + gap) + gap
     height = px + 2 * gap
@@ -170,10 +181,13 @@ def render_svg(tree, levels, image=False, px=220, gap=14) -> str:
             rects.sort()
             fill = _SVG_IMAGE_FILL
         else:
-            rects = [
-                (pi_finite(params, w).to_floats(), params.m ** (-level))
-                for w in tree.words(level)
-            ]
+            nums = (
+                substitution.level_table(ftree, level)[0]
+                if ftree is not None
+                else np.zeros((tree.count(level), 2), dtype=np.int64)
+            )
+            side = params.m ** (-level)
+            rects = [(c, side) for c in corner_floats(params.m, nums, level)]
             fill = _SVG_FILL
         for (cx, cy), side in rects:
             # SVG's y axis points down; flip so the origin is bottom-left
@@ -187,8 +201,17 @@ def render_svg(tree, levels, image=False, px=220, gap=14) -> str:
 
 def cmd_render(args) -> int:
     with open(args.tree, "rb") as fh:
-        tree = percolation.tree_from_json_dict(json.load(fh))
-    levels = [int(x) for x in args.levels.split(",")]
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"{args.tree} is not a JSON tree file: {exc}") from None
+    tree = percolation.tree_from_json_dict(obj)
+    try:
+        levels = [int(x) for x in args.levels.split(",")]
+    except ValueError:
+        raise DomainError(
+            f"--levels takes comma-separated integers, got {args.levels!r}"
+        ) from None
     for level in levels:
         if not (0 <= level <= tree.depth):
             raise DomainError(f"level {level} outside 0..{tree.depth}")

@@ -14,9 +14,9 @@ rewriting; at the first dead letter the remaining address either lands
 next to a surviving boundary cell (pure rescale) or in a fully
 boundary-dead cell, where one localized copy of g absorbs it.
 
-Floats are binary64; containment checks use a 1e-9 tolerance, and points
-lying exactly on the cube boundary short-circuit to the identity so the
-boundary is fixed exactly.
+Floats are binary64; the unit-cube check uses a 1e-12 tolerance, and
+points lying exactly on the cube boundary short-circuit to the identity
+so the boundary is fixed exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .lattice import (
-    Box,
     Params,
     Word,
     box_of_word,
@@ -38,7 +37,6 @@ from .lattice import (
 )
 from .substitution import FlaggedTree, tilde
 
-_CONTAIN_TOL = 1e-9
 _EDGE_TOL = 1e-12
 
 
@@ -108,23 +106,6 @@ def g_batch(cfg: GeomConfig, points) -> np.ndarray:
 def g(cfg: GeomConfig, u) -> np.ndarray:
     """g at a single point (shape (d,))."""
     return g_batch(cfg, np.asarray(u, dtype=np.float64)[None, :])[0]
-
-
-def g_localized(cfg: GeomConfig, box: Box, u) -> np.ndarray:
-    """Conjugate of g living on a subcube: h_box . g . h_box^-1.
-
-    u must lie in the box (1e-9 tolerance); points on the box boundary
-    return unchanged.
-    """
-    uu = np.asarray(u, dtype=np.float64)
-    corner = np.array(box.corner.to_floats(), dtype=np.float64)
-    side = float(box.side())
-    if np.any(uu < corner - _CONTAIN_TOL) or np.any(uu > corner + side + _CONTAIN_TOL):
-        raise DomainError("point outside the box beyond tolerance")
-    z = np.clip((uu - corner) / side, 0.0, 1.0)
-    if np.any((z == 0.0) | (z == 1.0)):
-        return uu.copy()
-    return corner + side * g(cfg, z)
 
 
 def madic_address(

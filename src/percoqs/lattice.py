@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .errors import DomainError
 
 Word = tuple[int, ...]
@@ -147,10 +149,6 @@ def word_meet(i: Word, j: Word) -> Word:
     return tuple(i[:n])
 
 
-def is_prefix(p: Word, w: Word) -> bool:
-    return len(p) <= len(w) and tuple(w[: len(p)]) == tuple(p)
-
-
 @dataclass(frozen=True)
 class ExactPoint:
     """A point of [0,1]^d with coordinates numerator / m^level.
@@ -226,6 +224,24 @@ def pi_finite(params: Params, word: Word) -> ExactPoint:
     return ExactPoint(params.m, len(word), tuple(nums))
 
 
+def corner_floats(m: int, nums: np.ndarray, levels) -> np.ndarray:
+    """Float coordinates of integer corner numerators: row i of nums over
+    m^levels[i] (one level for all rows, or one per row), each
+    coordinate correctly rounded, as Fraction -> float is.
+
+    Numerators and denominators up to 2^53 are exact doubles, so one
+    float division rounds correctly; past that, int / int does.
+    """
+    levels = np.broadcast_to(np.asarray(levels, dtype=np.int64), (nums.shape[0],))
+    if nums.shape[0] == 0 or m ** int(levels.max()) <= 2**53:
+        den = (np.int64(m) ** levels).astype(np.float64)
+        return nums.astype(np.float64) / den[:, None]
+    return np.array(
+        [[n / m ** int(l) for n in row] for row, l in zip(nums.tolist(), levels)],
+        dtype=np.float64,
+    )
+
+
 def dist_max(x: ExactPoint, y: ExactPoint) -> Fraction:
     """Chebyshev (max-coordinate) distance, exact."""
     if x.m != y.m or x.dim != y.dim:
@@ -261,33 +277,3 @@ class Box:
 def box_of_word(params: Params, word: Word) -> Box:
     """The subcube addressed by a word."""
     return Box(pi_finite(params, word), len(word))
-
-
-def box_contains(box: Box, x: ExactPoint) -> bool:
-    level = max(x.level, box.corner.level, box.level)
-    xs = x.nums_at_level(level)
-    cs = box.corner.nums_at_level(level)
-    side = box.m ** (level - box.level)
-    return all(c <= a <= c + side for a, c in zip(xs, cs))
-
-
-def h_box(box: Box, x: ExactPoint) -> ExactPoint:
-    """Canonical homothety [0,1]^d -> box applied to x: corner + side * x."""
-    if x.m != box.m:
-        raise DomainError("point and box use different bases")
-    level = max(box.corner.level, box.level + x.level)
-    cs = box.corner.nums_at_level(level)
-    xs = tuple(n * box.m ** (level - box.level - x.level) for n in x.nums)
-    return ExactPoint(box.m, level, tuple(c + a for c, a in zip(cs, xs)))
-
-
-def h_box_inv(box: Box, x: ExactPoint) -> ExactPoint:
-    """Inverse homothety box -> [0,1]^d; x must lie in the box."""
-    if x.m != box.m:
-        raise DomainError("point and box use different bases")
-    if not box_contains(box, x):
-        raise DomainError("point lies outside the box")
-    level = max(x.level, box.corner.level, box.level)
-    xs = x.nums_at_level(level)
-    cs = box.corner.nums_at_level(level)
-    return ExactPoint(box.m, level - box.level, tuple(a - c for a, c in zip(xs, cs)))

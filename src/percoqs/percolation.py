@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .lattice import Params, Word, is_prefix, validate_word
+from .lattice import Params, Word, validate_label, validate_word
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_REJECTION_BUDGET = 10**6
@@ -99,7 +98,8 @@ class PercTree:
     """Surviving words of a depth-n sample, level by level.
 
     parents[k][i] indexes the parent of node i of level k inside level
-    k-1; labels[k][i] is its last letter.  Level 0 is the root sentinel
+    k-1; labels[k][i] is its last letter.  Both are int32, which holds
+    any level this sampler can keep in memory.  Level 0 is the root sentinel
     (parent -1, label 0).  Within a level, nodes are sorted by
     (parent index, label), i.e. lexicographically by word.
     """
@@ -125,9 +125,10 @@ class PercTree:
         if level >= self.depth:
             raise DomainError(f"level {level} has no child level (depth {self.depth})")
         par = self.parents[level + 1]
-        lo = int(np.searchsorted(par, index, side="left"))
-        hi = int(np.searchsorted(par, index, side="right"))
-        return lo, hi
+        # a Python int key sends searchsorted on int32 down a path about
+        # six times slower than a key of the array's own type
+        key = np.int32(index)
+        return int(par.searchsorted(key, "left")), int(par.searchsorted(key, "right"))
 
     def child_labels(self, level: int, index: int) -> tuple[int, ...]:
         """Surviving child labels of a node, ascending."""
@@ -165,16 +166,33 @@ class PercTree:
             k -= 1
         return tuple(reversed(out))
 
+    def prefix_nodes(self, level: int, nodes=None) -> list[np.ndarray]:
+        """Node indices of every prefix of a level's nodes.
+
+        Entry k holds, for each node of the level (or of the given node
+        indices, in their order), the index of its length-k prefix in
+        level k; entry `level` holds the nodes themselves.
+        """
+        count = self.count(level)
+        idx = np.arange(count) if nodes is None else np.asarray(nodes, dtype=np.int64)
+        chain = [idx]
+        for k in range(level, 0, -1):
+            idx = self.parents[k][idx]
+            chain.append(idx)
+        return chain[::-1]
+
+    def label_matrix(self, level: int) -> np.ndarray:
+        """(n, level) labels whose row j is the word of node j of the
+        level."""
+        chain = self.prefix_nodes(level)
+        out = np.empty((chain[-1].shape[0], level), dtype=np.int64)
+        for k in range(1, level + 1):
+            out[:, k - 1] = self.labels[k][chain[k]]
+        return out
+
     def words(self, level: int) -> list[Word]:
         """All surviving words of a level, lexicographically sorted."""
-        if not (0 <= level <= self.depth):
-            raise DomainError(f"level {level} outside 0..{self.depth}")
-        rows: list[Word] = [()]
-        for k in range(1, level + 1):
-            par = self.parents[k]
-            lab = self.labels[k]
-            rows = [rows[par[i]] + (int(lab[i]),) for i in range(lab.shape[0])]
-        return rows
+        return [tuple(w) for w in self.label_matrix(level).tolist()]
 
     def to_json_dict(self) -> dict:
         pr = self.params
@@ -187,9 +205,7 @@ class PercTree:
             "eta": list(pr.eta),
             "seed": self.seed,
             "depth": self.depth,
-            "survivors": [
-                [list(w) for w in self.words(k)] for k in range(self.depth + 1)
-            ],
+            "survivors": [self.label_matrix(k).tolist() for k in range(self.depth + 1)],
         }
 
     def to_canonical_bytes(self) -> bytes:
@@ -198,12 +214,43 @@ class PercTree:
         )
 
 
+def _word_rows(params: Params, words, k: int) -> np.ndarray:
+    """The words of level k as a validated (n, k) label matrix."""
+    try:
+        rows = np.array(words)
+    except ValueError:  # ragged nesting
+        rows = None
+    if rows is not None and rows.shape == (0,):
+        rows = rows.reshape(0, k)
+    if rows is None or rows.ndim != 2 or rows.shape[1] != k:
+        raise DomainError(f"every word at level {k} must have length {k}")
+    if rows.size and rows.dtype.kind not in "iu":
+        raise DomainError(f"labels at level {k} must be integers, got {rows.dtype}")
+    rows = rows.astype(np.int64)
+    bad = (rows < 1) | (rows > params.alphabet_size)
+    if bad.any():
+        validate_label(params, int(rows[bad][0]))
+    return rows
+
+
+def _find_sorted(codes: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Positions of `want` in the ascending array `codes`, -1 where absent."""
+    pos = np.searchsorted(codes, want)
+    hit = pos < codes.shape[0]
+    hit[hit] = codes[pos[hit]] == want[hit]
+    return np.where(hit, pos, -1)
+
+
 def tree_from_words(
     params: Params, depth: int, survivors: list[list[Word]], seed: int = 0
 ) -> PercTree:
     """Build a tree from explicit per-level word lists (level 0 = [()]).
 
-    Validates lengths and prefix closure; input order is irrelevant.
+    Validates lengths, labels, duplicates and prefix closure; input
+    order is irrelevant.  A level's nodes are keyed by their (parent
+    index, label) code, which ascends with the lexicographic order, so a
+    word's prefix is found by descending from the root through each
+    level's codes.
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
@@ -211,45 +258,52 @@ def tree_from_words(
         raise DomainError(
             f"need {depth + 1} levels of survivors, got {len(survivors)}"
         )
-    parents = [np.array([-1], dtype=np.int64)]
-    labels = [np.array([0], dtype=np.int32)]
-    index: dict[Word, int] = {(): 0}
-    if [tuple(w) for w in survivors[0]] != [()]:
+    if _word_rows(params, survivors[0], 0).shape[0] != 1:
         raise DomainError("level 0 must contain exactly the empty word")
+    base = params.alphabet_size + 1
+    parents = [np.array([-1], dtype=np.int32)]
+    labels = [np.array([0], dtype=np.int32)]
+    codes = [np.zeros(1, dtype=np.int64)]
     for k in range(1, depth + 1):
-        level_words = sorted(tuple(int(l) for l in w) for w in survivors[k])
-        if len(set(level_words)) != len(level_words):
-            raise DomainError(f"duplicate words at level {k}")
-        par = []
-        lab = []
-        new_index: dict[Word, int] = {}
-        for i, w in enumerate(level_words):
-            if len(w) != k:
-                raise DomainError(f"word {w} at level {k} has wrong length")
-            validate_word(params, w)
-            if w[:-1] not in index:
-                raise DomainError(f"word {w} has a dead prefix {w[:-1]}")
-            par.append(index[w[:-1]])
-            lab.append(w[-1])
-            new_index[w] = i
-        parents.append(np.array(par, dtype=np.int64))
-        labels.append(np.array(lab, dtype=np.int32))
-        index = new_index
+        rows = _word_rows(params, survivors[k], k)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        dup = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        if dup.size:
+            raise DomainError(
+                f"duplicate word {tuple(rows[dup[0]].tolist())} at level {k}"
+            )
+        # -1 marks a missing prefix; the negative codes it makes never match
+        par = np.zeros(rows.shape[0], dtype=np.int64)
+        for j in range(1, k):
+            par = _find_sorted(codes[j], par * base + rows[:, j - 1])
+        dead = np.flatnonzero(par < 0)
+        if dead.size:
+            w = tuple(rows[dead[0]].tolist())
+            raise DomainError(f"word {w} has a dead prefix {w[:-1]}")
+        parents.append(par.astype(np.int32))
+        labels.append(rows[:, -1].astype(np.int32))
+        codes.append(par * base + rows[:, -1])
     return PercTree(params, seed, depth, tuple(parents), tuple(labels))
 
 
 def tree_from_json_dict(obj: dict) -> PercTree:
-    if obj.get("format") != "percoqs-tree/1":
-        raise DomainError(f"unsupported tree format {obj.get('format')!r}")
-    params = Params(
-        m=int(obj["M"]),
-        d=int(obj["d"]),
-        p=float(obj["p"]),
-        k=int(obj["K"]),
-        eta=tuple(int(l) for l in obj["eta"]),
-    )
-    survivors = [[tuple(w) for w in level] for level in obj["survivors"]]
-    return tree_from_words(params, int(obj["depth"]), survivors, seed=int(obj["seed"]))
+    """Read a percoqs-tree/1 object; a missing or malformed field raises
+    DomainError."""
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt != "percoqs-tree/1":
+        raise DomainError(f"unsupported tree format {fmt!r}")
+    try:
+        m, d, k = int(obj["M"]), int(obj["d"]), int(obj["K"])
+        p = float(obj["p"])
+        eta = tuple(int(l) for l in obj["eta"])
+        depth, seed = int(obj["depth"]), int(obj["seed"])
+        survivors = list(obj["survivors"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(
+            f"malformed tree file: {type(exc).__name__}: {exc}"
+        ) from None
+    params = Params(m=m, d=d, p=p, k=k, eta=eta)
+    return tree_from_words(params, depth, survivors, seed=seed)
 
 
 def sample_tree(
@@ -274,11 +328,17 @@ def sample_tree(
         raise DomainError(f"workers must be >= 1, got {workers}")
     a = params.alphabet_size
     thr = survival_threshold(params.p).to_bytes(8, "big")
-    parents = [np.array([-1], dtype=np.int64)]
+    parents = [np.array([-1], dtype=np.int32)]
     labels = [np.array([0], dtype=np.int32)]
     msgs = [str(seed).encode("ascii")]
     evaluated = 0
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: the pool's modules cost 2 MB of RSS that
+        # single-worker runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         for level in range(depth):
             n_candidates = len(msgs) * a
@@ -307,7 +367,7 @@ def sample_tree(
                     nxt.extend(cm)
             else:
                 par, lab, nxt = _scan_chunk(msgs, suffixes, thr, 0)
-            parents.append(np.array(par, dtype=np.int64))
+            parents.append(np.array(par, dtype=np.int32))
             labels.append(np.array(lab, dtype=np.int32))
             msgs = nxt
     finally:
@@ -367,7 +427,7 @@ def subtree(tree: PercTree, word: Word) -> PercTree:
     if idx is None:
         raise DomainError(f"word {word} is not a survivor of this tree")
     n = len(word)
-    parents = [np.array([-1], dtype=np.int64)]
+    parents = [np.array([-1], dtype=np.int32)]
     labels = [np.array([0], dtype=np.int32)]
     lo, hi = idx, idx + 1
     for k in range(n + 1, tree.depth + 1):
@@ -375,7 +435,7 @@ def subtree(tree: PercTree, word: Word) -> PercTree:
         new_lo = int(np.searchsorted(par, lo, side="left"))
         new_hi = int(np.searchsorted(par, hi, side="left"))
         # parent ids re-base against the previous level's slice start
-        parents.append(par[new_lo:new_hi].astype(np.int64) - lo)
+        parents.append(par[new_lo:new_hi] - lo)
         labels.append(tree.labels[k][new_lo:new_hi].copy())
         lo, hi = new_lo, new_hi
     return PercTree(

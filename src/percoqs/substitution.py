@@ -11,7 +11,6 @@ shrinks flagged branches by an extra factor M^-K.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from .lattice import (
     ExactPoint,
     Word,
     dist_max,
+    label_to_offset,
     pi_finite,
     validate_word,
     word_meet,
@@ -142,25 +142,40 @@ def f_point(ftree: FlaggedTree, word: Word) -> ExactPoint:
     return pi_finite(ftree.params, tw.labels)
 
 
-def _tilde_rows(ftree: FlaggedTree, level: int) -> tuple[list[Word], list[Word]]:
-    """(source words, rewritten words) for every survivor of a level."""
-    if not (0 <= level <= ftree.depth):
-        raise DomainError(f"level {level} outside 0..{ftree.depth}")
-    words: list[Word] = [()]
-    tws: list[Word] = [()]
-    eta = ftree.params.eta
-    for k in range(level):
-        par = ftree.tree.parents[k + 1]
-        lab = ftree.tree.labels[k + 1]
-        fl = ftree.flags[k]
-        words = [words[par[i]] + (int(lab[i]),) for i in range(lab.shape[0])]
-        tws = [
-            tws[par[i]] + eta + (int(lab[i]),)
-            if fl[par[i]]
-            else tws[par[i]] + (int(lab[i]),)
-            for i in range(lab.shape[0])
-        ]
-    return words, tws
+def level_table(
+    ftree: FlaggedTree, level: int, nodes=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact corners of a level's words and of their rewritten words.
+
+    For every node of the level (or the given node indices) returns
+    (src, img), two (n, d) arrays of integer corner numerators: src over
+    M^level, img over M^(rewritten length), the length being
+    ftree.tilde_lengths[level][node].  Numerators are int64 while M^(the
+    longest rewritten length) < 2^63 and Python ints in object arrays
+    past that.
+    """
+    tree = ftree.tree
+    pr = ftree.params
+    chain = tree.prefix_nodes(level, nodes)
+    lengths = ftree.tilde_lengths[level][chain[-1]]
+    wide = lengths.size > 0 and pr.m ** int(lengths.max()) >= 2**63
+    dtype = object if wide else np.int64
+    offs = np.array(
+        [label_to_offset(pr, l) for l in range(1, pr.alphabet_size + 1)],
+        dtype=dtype,
+    )
+    eta = np.array(pi_finite(pr, pr.eta).nums_at_level(pr.k), dtype=dtype)
+    shift = pr.m**pr.k
+    src = np.zeros((chain[-1].shape[0], pr.d), dtype=dtype)
+    img = src.copy()
+    for n in range(level):
+        # eta goes in front of the letter whose parent prefix is flagged
+        flagged = ftree.flags[n][chain[n]]
+        img[flagged] = img[flagged] * shift + eta
+        o = offs[tree.labels[n + 1][chain[n + 1]] - 1]
+        src = src * pr.m + o
+        img = img * pr.m + o
+    return src, img
 
 
 def image_cover(ftree: FlaggedTree, level: int) -> set[Box]:
@@ -170,42 +185,17 @@ def image_cover(ftree: FlaggedTree, level: int) -> set[Box]:
     survivors always yield distinct boxes; a collision would break the
     substitution's injectivity and raises.
     """
-    _, tws = _tilde_rows(ftree, level)
+    _, img = level_table(ftree, level)
+    m = ftree.params.m
     boxes = {
-        Box(pi_finite(ftree.params, tw), len(tw)) for tw in tws
+        Box(ExactPoint(m, t, tuple(c)), t)
+        for c, t in zip(img.tolist(), ftree.tilde_lengths[level].tolist())
     }
-    if len(boxes) != len(tws):
+    if len(boxes) != img.shape[0]:
         raise RuntimeError(
             "image boxes collided; the substitution lost injectivity"
         )
     return boxes
-
-
-def write_cover_csv(path, ftree: FlaggedTree, level: int) -> None:
-    """CSV of the level's image cover.
-
-    Columns: source_word, tilde_word (dot-joined labels), level (of the
-    image box), then one column per axis with the exact corner numerator
-    at that level (coordinate = numerator / M^level).
-    """
-    words, tws = _tilde_rows(ftree, level)
-    d = ftree.params.d
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["source_word", "tilde_word", "level"] + [f"c{i}" for i in range(d)]
-        )
-        for w, tw in zip(words, tws):
-            corner = pi_finite(ftree.params, tw)
-            nums = corner.nums_at_level(len(tw))
-            writer.writerow(
-                [
-                    ".".join(str(l) for l in w),
-                    ".".join(str(l) for l in tw),
-                    len(tw),
-                ]
-                + [str(n) for n in nums]
-            )
 
 
 def comparability_ratio(ftree: FlaggedTree, i: Word, j: Word) -> Fraction:

@@ -1,7 +1,6 @@
 """Closed forms, root finders, exact partition sums and the Monte Carlo
 checks, each pinned against independently computed values."""
 
-import csv
 import json
 import math
 from fractions import Fraction
@@ -17,13 +16,11 @@ from percoqs.analysis import (
     kappa_prime,
     level1_oracle,
     martingale_check,
-    partition_series,
     partition_sum,
     qs_ratio_scan,
     report_json_bytes,
     solve_epsilon,
     solve_t,
-    write_series_csv,
     zero_slope,
 )
 from percoqs.errors import CapacityError, DomainError
@@ -196,14 +193,6 @@ def test_partition_sum_rejects_bad_args():
         partition_sum(ft, 0.5, 1).as_fraction()
 
 
-def test_partition_series_ordering():
-    ft = compute_flags(HAND)
-    series = partition_series(ft, [0.0, 1.0], [0, 1, 2])
-    assert [(ps.s, ps.n) for ps in series] == [
-        (0.0, 0), (0.0, 1), (0.0, 2), (1.0, 0), (1.0, 1), (1.0, 2),
-    ]
-
-
 def test_mean_partition_sum_matches_power_of_step_factor():
     # average Y over independent trees (extinct ones count zero)
     pr = P_HALF
@@ -340,12 +329,3 @@ def test_report_json_bytes_shape():
     assert obj["pass"] is True
     assert b" " not in raw.strip()  # compact separators
     assert "pass" not in json.loads(report_json_bytes("x", {}, {}))
-
-
-def test_write_series_csv(tmp_path):
-    path = tmp_path / "series.csv"
-    write_series_csv(path, [("Y", 1.0, 2, 0.5, 0.01, 100)])
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["quantity", "s", "n", "value", "stderr", "seed_count"]
-    assert rows[1] == ["Y", "1.0", "2", "0.5", "0.01", "100"]

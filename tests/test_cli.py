@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report files, determinism and the
 printed summaries."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -21,7 +22,7 @@ from percoqs.cli import (
     render_svg,
 )
 from percoqs.lattice import Params
-from percoqs.percolation import sample_tree
+from percoqs.percolation import sample_tree, tree_from_words
 
 
 @pytest.fixture(autouse=True)
@@ -32,7 +33,7 @@ def _clean_budget_env(monkeypatch):
 # --- exit codes -----------------------------------------------------------
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
     assert main([]) == EXIT_USAGE
     assert main(["bogus"]) == EXIT_USAGE
     assert main(["solve", "kappa", "--M", "3"]) == EXIT_USAGE  # --s required
@@ -41,6 +42,32 @@ def test_usage_errors_exit_1(capsys):
     assert main(["check", "martingale", "--depth", "3", "--level", "7",
                  "--trials", "200"]) == EXIT_USAGE
     capsys.readouterr()
+
+    good = tmp_path / "good.json"
+    assert main(["sample", "--depth", "2", "--seed", "2", "--nonextinct",
+                 "-o", str(good)]) == EXIT_OK
+    capsys.readouterr()
+    header = {"format": "percoqs-tree/1", "M": 3, "d": 2, "p": 0.7, "K": 1,
+              "eta": [9], "seed": 0, "depth": 1}
+    bad_files = {
+        "not-json.json": "not json at all",
+        "no-fields.json": json.dumps({"format": "percoqs-tree/1"}),
+        "ragged.json": json.dumps({**header, "survivors": [[[]], [[1], [2, 3]]]}),
+        "strings.json": json.dumps({**header, "survivors": [[[]], [["a"]]]}),
+        "floats.json": json.dumps({**header, "survivors": [[[]], [[1.5]]]}),
+    }
+    bad_inputs = [["solve", "t", "--eta", "1,x"],
+                  ["render", "--tree", str(good), "--levels", "1,a"]]
+    for name, text in bad_files.items():
+        (tmp_path / name).write_text(text)
+        bad_inputs.append(["render", "--tree", str(tmp_path / name), "--levels", "1"])
+    for argv in bad_inputs:
+        assert main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("percoqs: parameter error: ") and err.count("\n") == 1
+    monkeypatch.setenv("PERCOQS_NODE_BUDGET", "abc")
+    assert main(["sample", "--depth", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("percoqs: parameter error: ")
 
 
 def test_help_exits_0(capsys):
@@ -124,6 +151,45 @@ def test_render_svg_structure(tmp_path, capsys):
 
     assert main(["render", "--tree", str(tree_file), "--levels", "9"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def _frozen_hand_trees():
+    # the root keeps only the interior cell 9, so it is flagged
+    flagged_root = tree_from_words(Params(m=3, d=2, p=0.7), 3, [
+        [()],
+        [(9,)],
+        [(9, 1), (9, 3), (9, 9)],
+        [(9, 1, 2), (9, 1, 9), (9, 3, 5), (9, 9, 9)],
+    ])
+    # K=2 with a custom eta; (2,) and (2, 13) keep only interior children
+    custom_eta = tree_from_words(Params(m=4, d=2, p=0.5, k=2, eta=(16, 13)), 3, [
+        [()],
+        [(2,), (14,)],
+        [(2, 13), (14, 1), (14, 15)],
+        [(2, 13, 16), (14, 1, 4), (14, 15, 7), (14, 15, 14)],
+    ])
+    return flagged_root, custom_eta
+
+
+def test_hand_tree_output_bytes_frozen():
+    # digests of the tree file, the plain panels and the image panels;
+    # the trees are built by hand, so a sampler change leaves them valid
+    want = [
+        ("f4389f6c2bb6c380bd2f7935e15e4d24c1f9c0f7ebe1f15759c104850facb6e2",
+         "eac6ed9277528d2f43b61c360867d3587d57bcc84b1c5b261a7a33452ed46d52",
+         "298a85bc5592a54c2d4462415d569ae597024de900a446634e4d7b211f55013f"),
+        ("be93d786a76ba6445516b231c3bdca56cddf5b4a06a984735bbbc74cd3506046",
+         "70347c16c650ce67f36dea99ee948b3ae9bede7db431fd841d9b2d26bcd5fd21",
+         "af38923a0ec819bb9559cbac92c24001b444c61dde1229f83011dd048b6d2de4"),
+    ]
+    for tree, digests in zip(_frozen_hand_trees(), want):
+        levels = list(range(tree.depth + 1))
+        outputs = (
+            tree.to_canonical_bytes(),
+            render_svg(tree, levels).encode("ascii"),
+            render_svg(tree, levels, image=True).encode("ascii"),
+        )
+        assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == digests
 
 
 def test_render_rejects_3d():

@@ -12,10 +12,9 @@ from percoqs.globalmap import (
     f_global,
     g,
     g_batch,
-    g_localized,
     madic_address,
 )
-from percoqs.lattice import Params, box_of_word, pi_finite
+from percoqs.lattice import Params, pi_finite
 from percoqs.percolation import sample_tree, tree_from_words
 from percoqs.substitution import compute_flags, f_point
 
@@ -146,32 +145,6 @@ def test_g_outside_cube_rejected():
         g(CFG3, [1.2, 0.5])
     with pytest.raises(DomainError):
         g_batch(CFG3, np.array([[0.5, -0.1]]))
-
-
-# --- localized g ----------------------------------------------------------------
-
-
-def test_g_localized_unit_box_matches_g():
-    box = box_of_word(P32, ())
-    rng = np.random.default_rng(5)
-    for u in rng.random((50, 2)):
-        assert np.allclose(g_localized(CFG3, box, u), g(CFG3, u), atol=0)
-
-
-def test_g_localized_conjugation():
-    box = box_of_word(P32, (9, 2))
-    corner = np.array(box.corner.to_floats())
-    side = float(box.side())
-    rng = np.random.default_rng(6)
-    for z in rng.random((50, 2)):
-        u = corner + side * z
-        expect = corner + side * g(CFG3, z)
-        assert np.allclose(g_localized(CFG3, box, u), expect, atol=1e-15)
-    # box faces stay put
-    edge = corner + side * np.array([0.0, 0.37])
-    assert np.array_equal(g_localized(CFG3, box, edge), edge)
-    with pytest.raises(DomainError):
-        g_localized(CFG3, box, corner + side * 1.5)
 
 
 # --- addresses -----------------------------------------------------------------

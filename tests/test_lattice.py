@@ -1,7 +1,8 @@
-"""Exact lattice geometry: labels, corners, metric, homotheties."""
+"""Exact lattice geometry: labels, corners, metric, boxes."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +12,12 @@ from percoqs.lattice import (
     Box,
     ExactPoint,
     Params,
-    box_contains,
     box_of_word,
     boundary_label_count,
+    corner_floats,
     default_eta,
     dist_max,
-    h_box,
-    h_box_inv,
     is_boundary_label,
-    is_prefix,
     label_to_offset,
     offset_to_label,
     pi_finite,
@@ -123,10 +121,6 @@ def test_word_meet_and_prefix():
     assert word_meet((1, 2, 3), (1, 2, 4)) == (1, 2)
     assert word_meet((1, 2), (1, 2)) == (1, 2)
     assert word_meet((1,), (2,)) == ()
-    assert is_prefix((), (5,))
-    assert is_prefix((5, 1), (5, 1, 2))
-    assert not is_prefix((5, 2), (5, 1, 2))
-    assert not is_prefix((5, 1, 2, 3), (5, 1, 2))
 
 
 # --- corners -------------------------------------------------------------
@@ -164,6 +158,18 @@ def test_distinct_words_distinct_corners_exhaustive():
         for w in product(range(1, 10), repeat=3)
     }
     assert len(corners) == 9**3
+
+
+@pytest.mark.parametrize("levels", [[0, 1, 7, 33], [0, 1, 7, 33, 34, 60]])
+def test_corner_floats_correctly_rounded(levels):
+    # 3^34 > 2^53: the second case needs exact integer division throughout
+    rng = np.random.default_rng(7)
+    nums = [[int(x) % (3**l + 1) for x in rng.integers(0, 2**62, 2)] for l in levels]
+    got = corner_floats(3, np.array(nums, dtype=object), levels)
+    want = [[float(Fraction(n, 3**l)) for n in row] for row, l in zip(nums, levels)]
+    assert got.tolist() == want
+    one = corner_floats(3, np.array(nums[:3], dtype=np.int64), 7)
+    assert one.tolist() == [[float(Fraction(n, 3**7)) for n in row] for row in nums[:3]]
 
 
 def test_exact_point_canonical():
@@ -220,48 +226,7 @@ def test_dist_max_is_a_metric(data):
 
 def test_box_of_word_and_h_box():
     unit = box_of_word(P32, ())
-    center = ExactPoint(3, 1, (1, 1))  # not representable at level 0, fine
     assert unit.side() == 1
-    assert h_box(unit, center) == center
     b = box_of_word(P32, (9,))
     assert b.corner.as_fractions() == (Fraction(1, 3), Fraction(1, 3))
     assert b.level == 1 and b.side() == Fraction(1, 3)
-    # the center of the cube maps to the center of the subcube, which for
-    # the central cell is the cube center itself
-    mid = ExactPoint(3, 1, (1, 1))  # does not represent 1/2 on a 3-adic grid
-    img = h_box(b, mid)
-    assert img.as_fractions() == (Fraction(4, 9), Fraction(4, 9))
-
-
-def test_h_box_center_fixed_point():
-    # center (1/2,1/2) is not 3-adic; check the homothety relation through
-    # fractions instead: corner + side * x
-    b = box_of_word(P32, (9,))
-    x = ExactPoint(3, 2, (5, 7))
-    img = h_box(b, x)
-    for c, xf, g in zip(b.corner.as_fractions(), x.as_fractions(), img.as_fractions()):
-        assert g == c + b.side() * xf
-
-
-@settings(deadline=None, max_examples=100)
-@given(data=st.data())
-def test_h_box_roundtrip(data):
-    w = tuple(data.draw(st.lists(st.integers(1, 9), max_size=4)))
-    b = box_of_word(P32, w)
-    x = pi_finite(P32, tuple(data.draw(st.lists(st.integers(1, 9), max_size=4))))
-    y = h_box(b, x)
-    assert box_contains(b, y)
-    assert h_box_inv(b, y) == x
-
-
-def test_h_box_inv_outside_rejected():
-    b = box_of_word(P32, (9,))
-    with pytest.raises(DomainError):
-        h_box_inv(b, ExactPoint.origin(3, 2))
-
-
-def test_box_contains_closed_faces():
-    b = box_of_word(P32, (9,))
-    assert box_contains(b, ExactPoint(3, 1, (1, 1)))  # lower corner
-    assert box_contains(b, ExactPoint(3, 1, (2, 2)))  # upper corner
-    assert not box_contains(b, ExactPoint(3, 2, (2, 4)))

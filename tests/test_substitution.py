@@ -1,20 +1,27 @@
 """Boundary-death rewriting: flags, tilde, corner map, exact invariants."""
 
-import csv
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from test_acceptance import _int_corners, _tilde_codes
 
 from percoqs.errors import DomainError, PreconditionError
 from percoqs.lattice import Params, dist_max, pi_finite
-from percoqs.percolation import sample_tree, subtree, tree_from_words
+from percoqs.percolation import (
+    derive_seed,
+    sample_nonextinct,
+    sample_tree,
+    subtree,
+    tree_from_words,
+)
 from percoqs.substitution import (
     compute_flags,
     comparability_ratio,
     f_point,
     image_cover,
+    level_table,
     tilde,
-    write_cover_csv,
 )
 from percoqs.analysis import partition_sum
 
@@ -208,15 +215,64 @@ def test_image_cover_levels_and_partition_sum_agree():
     assert lengths == tl
 
 
-def test_cover_csv_roundtrip(tmp_path):
-    ft = hand_tree_root_unflagged()
-    path = tmp_path / "cover.csv"
-    write_cover_csv(path, ft, 2)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["source_word", "tilde_word", "level", "c0", "c1"]
-    assert rows[1] == ["9.9", "9.9.9", "3", "13", "13"]
-    assert len(rows) == 2
+# --- level table ---------------------------------------------------------------
+
+
+def _check_level_table(ft, with_codes=True):
+    """The table, the label matrix and the vectorized test references
+    against the one-word paths, for every survivor of every level."""
+    tree, pr = ft.tree, ft.params
+    base = pr.alphabet_size + 1
+    codes = _tilde_codes(ft) if with_codes else None
+    for level in range(ft.depth + 1):
+        src, img = level_table(ft, level)
+        rows = tree.label_matrix(level)
+        assert src.shape == img.shape == (tree.count(level), pr.d)
+        assert np.array_equal(src, _int_corners(tree, level))
+        for i in range(tree.count(level)):
+            w = tree.word_of(level, i)
+            tw = tilde(ft, w).labels
+            assert tuple(rows[i].tolist()) == w
+            assert ft.tilde_lengths[level][i] == len(tw)
+            assert tuple(src[i].tolist()) == pi_finite(pr, w).nums_at_level(level)
+            assert tuple(img[i].tolist()) == pi_finite(pr, tw).nums_at_level(len(tw))
+            if codes is not None:
+                code, digits = int(codes[level][i]), []
+                while code:
+                    code, digit = divmod(code, base)
+                    digits.append(digit)
+                assert tuple(reversed(digits)) == tw
+        # a subset of nodes, in any order, gets the rows of the full table
+        pick = np.arange(tree.count(level))[::-2]
+        sub_src, sub_img = level_table(ft, level, pick)
+        assert np.array_equal(sub_src, src[pick]) and np.array_equal(sub_img, img[pick])
+    return img
+
+
+@pytest.mark.parametrize("pr, depth", [
+    (Params(m=3, d=2, p=0.7), 5),
+    (Params(m=4, d=2, p=0.5, k=2, eta=(16, 13)), 4),
+    (Params(m=5, d=2, p=0.4), 3),
+    (Params(m=3, d=3, p=0.35), 3),
+], ids=["M3d2", "M4d2K2", "M5d2", "M3d3"])
+def test_level_table_matches_one_word_paths(pr, depth):
+    for i in range(2):
+        tree, _ = sample_nonextinct(pr, depth, derive_seed(0, "level-table", i))
+        img = _check_level_table(compute_flags(tree))
+        assert img.dtype == np.int64
+
+
+def test_level_table_object_numerators_past_int64():
+    # a single chain of interior cells flags every node, so level 7 rewrites
+    # to length 7 + 3 * 7 = 28 and 5^28 > 2^63 needs Python integers
+    pr = Params(m=5, d=2, p=0.5, k=3, eta=(19, 2, 25))
+    chain = (17, 18, 19, 20, 21, 22, 23)
+    tree = tree_from_words(pr, 7, [[chain[:k]] for k in range(8)])
+    ft = compute_flags(tree)
+    assert all(bool(f[0]) for f in ft.flags)
+    assert pr.m ** int(ft.tilde_lengths[7][0]) >= 2**63
+    img = _check_level_table(ft, with_codes=False)
+    assert img.dtype == object
 
 
 # --- comparability -----------------------------------------------------------
