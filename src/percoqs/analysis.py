@@ -26,11 +26,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .lattice import Params, corner_floats
 from .percolation import derive_seed, sample_nonextinct
 from .substitution import FlaggedTree, comparability_ratio, compute_flags, level_table
@@ -51,6 +50,8 @@ def kappa(params: Params, s: float, k: int | None = None) -> float:
         k = params.k
     if k < 1:
         raise DomainError(f"K must be >= 1, got {k}")
+    if s < 0:
+        raise DomainError(f"s must be >= 0, got {s}")
     m, d, p = params.m, params.d, params.p
     interior_frac = (m - 2) ** d / m**d
     return 1.0 - interior_frac * (1.0 - m ** (-s * k)) * (1.0 - p) ** params.n_boundary
@@ -259,51 +260,41 @@ def partition_sum(ftree: FlaggedTree, s: float, n: int) -> PartitionSum:
     return PartitionSum(ftree.params.m, s, n, pairs)
 
 
-@lru_cache(maxsize=4)
-def _config_counts(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per survival configuration of one generation (bitmask over M^d
-    cells): total alive count and alive boundary-cell count."""
-    a = m**d
-    if a > 25:
-        raise CapacityError(
-            f"exact one-generation enumeration needs M^d <= 25, got {a}"
-        )
-    nb = m**d - (m - 2) ** d
-    masks = np.arange(1 << a, dtype=np.uint64)
-    alive = np.bitwise_count(masks).astype(np.int64)
-    boundary_mask = np.uint64((1 << nb) - 1)  # labels 1..nb are bits 0..nb-1
-    alive_boundary = np.bitwise_count(masks & boundary_mask).astype(np.int64)
-    return alive, alive_boundary
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    pmf = [math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
+    return np.array(pmf)
+
+
+def _one_generation(params: Params, s: float, k: int) -> tuple[np.ndarray, ...]:
+    """Law of one node's term in Y^s_{n+1}, in units of the node's
+    weight, as (probability, value) arrays.
+
+    With b ~ Bin(nb, p) alive boundary and i ~ Bin(ni, p) alive interior
+    children, the term is (b + i) M^-s when b >= 1, and i M^(-s(K+1))
+    when b = 0 (the node is flagged).  Rows a = b + i = 1..M^d hold the
+    first case, rows i = 0..ni the second.
+    """
+    m, a, nb = float(params.m), params.alphabet_size, params.n_boundary
+    pb = _binomial_pmf(nb, params.p)
+    pi = _binomial_pmf(a - nb, params.p)
+    prob = np.concatenate([np.convolve(pb[1:], pi), pb[0] * pi])
+    value = np.concatenate(
+        [np.arange(1, a + 1) * m ** (-s), np.arange(a - nb + 1) * m ** (-s * (k + 1))]
+    )
+    return prob, value
 
 
 def level1_oracle(params: Params, s: float, k: int | None = None) -> float:
-    """E Y^s_1 by brute-force enumeration of all 2^(M^d) one-generation
-    survival configurations; an independent cross-check of
-    p M^(d-s) kappa(s, K).
+    """E Y^s_1 as the expectation of the root's one-generation outcome
+    table; an independent cross-check of p M^(d-s) kappa(s, K), since the
+    table is built from binomial counts and never uses kappa's algebra.
     """
     if k is None:
         k = params.k
     if s < 0:
         raise DomainError(f"s must be >= 0, got {s}")
-    m, d, p = params.m, params.d, params.p
-    alive, alive_boundary = _config_counts(m, d)
-    alive_interior = alive - alive_boundary
-    a = m**d
-    prob = p**alive * (1.0 - p) ** (a - alive)
-    short = float(m) ** (-s)
-    long = float(m) ** (-s * (k + 1))
-    per_config = prob * (
-        alive_boundary * short
-        + alive_interior * np.where(alive_boundary == 0, long, short)
-    )
-    # fsum in chunks keeps the total exactly rounded enough for 1e-12
-    # comparisons even at 2^25 terms
-    chunk = 1 << 20
-    partials = [
-        math.fsum(per_config[i : i + chunk].tolist())
-        for i in range(0, per_config.shape[0], chunk)
-    ]
-    return math.fsum(partials)
+    prob, value = _one_generation(params, s, k)
+    return math.fsum((prob * value).tolist())
 
 
 @dataclass(frozen=True)
@@ -346,11 +337,12 @@ def martingale_check(
     """Resample generation n+1 of a frozen tree and compare the mean of
     Y^s_{n+1} against p M^(d-s) kappa(s, K) Y^s_n.
 
-    A child generation enters Y only through its alive-boundary /
-    alive-interior counts: if any boundary child lives, every alive child
-    contributes M^-s; if none does, the alive (interior) children each
-    contribute M^(-s(K+1)).  Sampling those binomial counts is therefore
-    distribution-exact.
+    Each node's term is its weight M^(-s |rewritten word|) times an
+    independent draw from the one-generation outcome table.  Nodes of
+    equal rewritten length share a weight, so per trial the outcome
+    counts of a length group are one multinomial draw over the table:
+    the same law as drawing every node, at trials x (table size) cells
+    per group.
     """
     if trials < 100:
         raise DomainError(
@@ -365,24 +357,12 @@ def martingale_check(
     if w.shape[0] == 0:
         raise DomainError(f"no survivors at level {n}; nothing to resample")
     weights = float(pr.m) ** (-s * w.astype(np.float64))
-    nb = pr.n_boundary
-    ni = pr.alphabet_size - nb
-    short = float(pr.m) ** (-s)
-    long = float(pr.m) ** (-s * (pr.k + 1))
+    prob, value = _one_generation(pr, s, pr.k)
     rng = np.random.default_rng(seed)
-    width = weights.shape[0]
-    chunk = max(1, min(trials, 8_000_000 // max(width, 1)))
-    sums = np.empty(trials, dtype=np.float64)
-    done = 0
-    while done < trials:
-        c = min(chunk, trials - done)
-        b_alive = rng.binomial(nb, pr.p, size=(c, width))
-        i_alive = rng.binomial(ni, pr.p, size=(c, width))
-        x = np.where(
-            b_alive > 0, (b_alive + i_alive) * short, i_alive * long
-        )
-        sums[done : done + c] = x @ weights
-        done += c
+    sums = np.zeros(trials, dtype=np.float64)
+    for length, size in zip(*np.unique(w, return_counts=True)):
+        counts = rng.multinomial(int(size), prob, size=trials)
+        sums += (counts @ value) * float(pr.m) ** (-s * float(length))
     frozen = float(weights.sum())
     factor = pr.p * pr.m ** (pr.d - s) * kappa(pr, s)
     expected = factor * frozen
@@ -397,7 +377,7 @@ def martingale_check(
         n=n,
         trials=trials,
         seed=seed,
-        level_count=width,
+        level_count=w.shape[0],
         frozen_value=frozen,
         step_factor=factor,
         expected_mean=expected,

@@ -300,14 +300,14 @@ def cmd_check_oracle(args) -> int:
         _config_dict(params, args, tolerance=tol),
         {"worst_error": worst, "rows": rows},
         passed,
-        [f"one-generation enumeration vs closed form: max |diff|={worst:.3e} "
+        [f"one-generation outcome sum vs closed form: max |diff|={worst:.3e} "
          f"{'PASS' if passed else 'FAIL'}"],
     )
 
 
 def cmd_check_martingale(args) -> int:
     params = _params(args)
-    trials = args.trials or 10_000
+    trials = args.trials if args.trials is not None else 10_000
     tree, _ = percolation.sample_nonextinct(
         params, args.depth, args.seed, node_budget=_node_budget(args),
         workers=args.workers,
@@ -333,7 +333,9 @@ def cmd_check_martingale(args) -> int:
 def cmd_check_qs(args) -> int:
     params = _params(args)
     trees = args.trees
-    triples = args.trials or 2000
+    if trees < 1:
+        raise DomainError(f"need at least one tree, got {trees}")
+    triples = args.trials if args.trials is not None else 2000
     budget = _node_budget(args)
     c_emp = 0.0
     rmin, rmax = math.inf, -math.inf
@@ -367,7 +369,7 @@ def cmd_check_qs(args) -> int:
 
 def cmd_check_dims(args) -> int:
     params = _params(args)
-    trials = args.trials or 200
+    trials = args.trials if args.trials is not None else 200
     grid = np.round(np.arange(args.grid_lo, args.grid_hi + 1e-9, args.grid_step), 12)
     fit = analysis.estimate_dims(
         params,
@@ -398,6 +400,11 @@ def cmd_check_dims(args) -> int:
 
 def cmd_check_global(args) -> int:
     params = _params(args)
+    n_pairs = args.trials if args.trials is not None else 100_000
+    if n_pairs < 2:
+        raise DomainError(
+            f"the distortion bracket needs at least 2 pairs, got {n_pairs}"
+        )
     cfg = globalmap.GeomConfig(params)
     rng = np.random.default_rng(derive_seed(args.seed, "global"))
     results = {}
@@ -425,7 +432,7 @@ def cmd_check_global(args) -> int:
     ok &= bide == 0.0
 
     # two-point distortion bracket
-    pairs = rng.random((args.trials or 100_000, 2, params.d))
+    pairs = rng.random((n_pairs, 2, params.d))
     gx = globalmap.g_batch(cfg, pairs[:, 0])
     gy = globalmap.g_batch(cfg, pairs[:, 1])
     din = np.max(np.abs(pairs[:, 0] - pairs[:, 1]), axis=1)

@@ -10,6 +10,7 @@ import pytest
 
 from percoqs.analysis import (
     EPSILON_TABLE_CASES,
+    _one_generation,
     epsilon_table,
     estimate_dims,
     kappa,
@@ -23,7 +24,7 @@ from percoqs.analysis import (
     solve_t,
     zero_slope,
 )
-from percoqs.errors import CapacityError, DomainError
+from percoqs.errors import DomainError
 from percoqs.lattice import Params
 from percoqs.percolation import sample_tree, tree_from_words
 from percoqs.substitution import compute_flags
@@ -140,7 +141,36 @@ def test_epsilon_default_cases():
     assert EPSILON_TABLE_CASES == ((3, 2), (4, 2), (5, 2), (3, 3), (4, 3))
 
 
-# --- one-generation brute force ----------------------------------------------
+# --- one-generation outcome table --------------------------------------------
+
+
+def _enumerated_oracle(pr, s, k):
+    """E Y^s_1 summed over all 2^(M^d) survival masks of one generation
+    (labels 1..nb are the boundary cells, bits 0..nb-1)."""
+    a, nb, m, p = pr.alphabet_size, pr.n_boundary, pr.m, pr.p
+    masks = np.arange(1 << a, dtype=np.uint64)
+    alive = np.bitwise_count(masks).astype(np.int64)
+    alive_b = np.bitwise_count(masks & np.uint64((1 << nb) - 1)).astype(np.int64)
+    prob = p**alive * (1.0 - p) ** (a - alive)
+    per_child = np.where(alive_b > 0, float(m) ** (-s), float(m) ** (-s * (k + 1)))
+    return math.fsum((prob * alive * per_child).tolist())
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_level1_oracle_matches_mask_enumeration(m):
+    for p in (0.3, 0.5, 0.7):
+        for k in (1, 2):
+            pr = Params(m=m, d=2, p=p, k=k)
+            for s in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0):
+                assert abs(level1_oracle(pr, s) - _enumerated_oracle(pr, s, k)) <= 1e-12
+
+
+def test_one_generation_table_shape_and_mass():
+    pr = Params(m=5, d=3, p=0.4, k=2)
+    prob, value = _one_generation(pr, 1.0, 2)
+    assert prob.shape == value.shape == (125 + 27 + 1,)
+    assert math.fsum(prob.tolist()) == pytest.approx(1.0, abs=1e-14)
+    assert (prob >= 0).all()
 
 
 def test_level1_oracle_matches_kappa_grid():
@@ -156,8 +186,8 @@ def test_level1_oracle_special_cases():
     assert level1_oracle(P_HALF, 0.0) == pytest.approx(0.5 * 9, abs=1e-12)
     with pytest.raises(DomainError):
         level1_oracle(P_HALF, -0.5)
-    with pytest.raises(CapacityError):
-        level1_oracle(Params(m=3, d=3, p=0.5), 1.0)
+    pr3 = Params(m=3, d=3, p=0.5)
+    assert abs(level1_oracle(pr3, 1.0) - 0.5 * 9 * kappa(pr3, 1.0)) <= 1e-12
 
 
 # --- partition sums ------------------------------------------------------------
@@ -244,6 +274,33 @@ def test_martingale_check_unit_factor_at_t_upper():
     assert rep.step_factor == pytest.approx(1.0, abs=1e-12)
     assert abs(rep.zscore) <= 3.0
     assert rep.ratio == pytest.approx(1.0, abs=5 * rep.stderr / rep.frozen_value)
+
+
+def test_martingale_check_law_over_length_groups():
+    # level 2 holds 32 children of unflagged nodes (1,), (2,) and 16
+    # interior children of the flagged nodes (13,)..(16,), whose K=2
+    # insertion makes their rewritten length 4 instead of 2
+    pr = Params(m=4, d=2, p=0.4, k=2, eta=(16, 13))
+    parents = (1, 2, 13, 14, 15, 16)
+    level2 = [(i, j) for i in (1, 2) for j in range(1, 17)]
+    level2 += [(i, j) for i in parents[2:] for j in parents[2:]]
+    ft = compute_flags(tree_from_words(pr, 2, [[()], [(i,) for i in parents], level2]))
+    lengths, sizes = np.unique(ft.tilde_lengths[2], return_counts=True)
+    assert lengths.tolist() == [2, 4] and sizes.tolist() == [32, 16]
+    s, trials = 0.25, 20_000
+    rep = martingale_check(ft, s, 2, trials, seed=0)
+    assert abs(rep.zscore) <= 3.0
+    # exact variance of Y_{n+1} from the outcome table: the terms are
+    # independent, so variances and fourth cumulants add over nodes
+    prob, value = _one_generation(pr, s, pr.k)
+    dev = value - prob @ value
+    c2, c4 = prob @ dev**2, prob @ dev**4
+    w = 4.0 ** (-s * lengths.astype(np.float64))
+    var = float((sizes * w**2).sum() * c2)
+    mu4 = float((sizes * w**4).sum() * (c4 - 3 * c2**2)) + 3 * var**2
+    sample_var = (rep.stderr * math.sqrt(trials)) ** 2
+    se = math.sqrt((mu4 - var**2 * (trials - 3) / (trials - 1)) / trials)
+    assert abs(sample_var - var) <= 3.0 * se
 
 
 # --- growth-rate fits --------------------------------------------------------------

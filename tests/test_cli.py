@@ -57,7 +57,15 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         "floats.json": json.dumps({**header, "survivors": [[[]], [[1.5]]]}),
     }
     bad_inputs = [["solve", "t", "--eta", "1,x"],
-                  ["render", "--tree", str(good), "--levels", "1,a"]]
+                  ["render", "--tree", str(good), "--levels", "1,a"],
+                  ["solve", "kappa", "--s", "-1"],
+                  ["check", "martingale", "--depth", "2", "--trials", "0"],
+                  ["check", "qs", "--depth", "3", "--trees", "1", "--trials", "0"],
+                  ["check", "qs", "--depth", "3", "--trees", "0"],
+                  ["check", "qs", "--depth", "3", "--trees", "-1"],
+                  ["check", "dims", "--depth", "3", "--trials", "0"],
+                  ["check", "global", "--depth", "2", "--trials", "0"],
+                  ["check", "global", "--depth", "2", "--trials", "1"]]
     for name, text in bad_files.items():
         (tmp_path / name).write_text(text)
         bad_inputs.append(["render", "--tree", str(tmp_path / name), "--levels", "1"])
@@ -263,6 +271,12 @@ def test_check_oracle_report(tmp_path, capsys):
     assert obj["results"]["worst_error"] <= 1e-12
     assert set(obj["config"]) >= {"M", "d", "p", "K", "eta", "seed"}
     assert "workers" not in obj["config"]
+
+
+@pytest.mark.parametrize("flags", [["--d", "3"], ["--M", "5", "--d", "3"]])
+def test_check_oracle_three_dimensional(flags, capsys):
+    assert main(["check", "oracle", *flags]) == EXIT_OK
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_check_martingale_runs(capsys):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import _int_corners, _tilde_codes
 
 from percoqs.errors import DomainError, PreconditionError
@@ -189,6 +191,52 @@ def test_injectivity_and_length_bounds():
                 assert level <= len(tw) <= 2 * level
                 seen.add(tw)
             assert len(seen) == tree.count(level)
+
+
+# --- properties over random parameters -----------------------------------------
+
+
+@st.composite
+def _flagged_trees(draw):
+    """A non-extinct sampled tree at random (M, d, K, eta, p) and depth
+    2..5."""
+    m = draw(st.sampled_from((3, 4, 5)))
+    d = draw(st.sampled_from((1, 2, 3)))
+    k = draw(st.integers(1, 3))
+    a = m**d
+    nb = a - (m - 2) ** d
+    eta = (draw(st.integers(nb + 1, a)),)
+    eta += tuple(draw(st.lists(st.integers(1, a), min_size=k - 1, max_size=k - 1)))
+    # p makes the flag probability (1-p)^nb about q, so insertions
+    # happen; a node keeps two to about six children on average, so a
+    # level at depth <= 5 has at most ~10^5 candidate cells
+    q = draw(st.floats(0.01, 0.4))
+    pr = Params(m=m, d=d, p=max(1.0 - q ** (1.0 / nb), 2.0 / a), k=k, eta=eta)
+    depth = draw(st.integers(2, 5))
+    tree, _ = sample_nonextinct(pr, depth, draw(st.integers(0, 2**32)))
+    return compute_flags(tree)
+
+
+@settings(deadline=None, max_examples=40)
+@given(ft=_flagged_trees())
+def test_property_level_table_images_distinct(ft):
+    for level in range(ft.depth + 1):
+        _, img = level_table(ft, level)
+        rows = {
+            (t, *c) for t, c in zip(ft.tilde_lengths[level].tolist(), img.tolist())
+        }
+        assert len(rows) == ft.tree.count(level)
+
+
+@settings(deadline=None, max_examples=40)
+@given(ft=_flagged_trees(), data=st.data())
+def test_property_splitting_identity(ft, data):
+    tree = ft.tree
+    w = tree.word_of(ft.depth, data.draw(st.integers(0, tree.count(ft.depth) - 1)))
+    whole = tilde(ft, w).labels
+    for c in range(1, len(w)):
+        sub = compute_flags(subtree(tree, w[:c]))
+        assert tilde(ft, w[:c]).labels + tilde(sub, w[c:]).labels == whole
 
 
 # --- image cover --------------------------------------------------------------
