@@ -420,6 +420,7 @@ class DimFit:
     s_grid: tuple[float, ...]
     seed: int
     rejections: int
+    insertions: int
     widened: bool
     converged: bool
 
@@ -437,6 +438,7 @@ class DimFit:
             "s_grid": list(self.s_grid),
             "seed": self.seed,
             "rejections": self.rejections,
+            "insertions": self.insertions,
             "widened": self.widened,
             "converged": self.converged,
         }
@@ -478,7 +480,6 @@ def estimate_dims(
     bootstrap: int = 200,
     max_attempts: int = 10**4,
     node_budget: int = 10**8,
-    workers: int = 1,
 ) -> DimFit:
     """Estimate the survivor-count growth exponent and the zero-growth
     exponent of the rewritten partition sums from fresh non-extinct
@@ -490,7 +491,9 @@ def estimate_dims(
     widening).  Confidence intervals are bootstrap percentiles over
     trees.  Trees are conditioned on reaching the target depth, so both
     fits see the same realized branches and their difference isolates
-    the insertion effect.
+    the insertion effect.  `insertions` counts the survivors of the fitted
+    levels whose rewritten word is longer than their level; when it is 0
+    the two fits see the same sums and any t_hat < s_hat is float noise.
     """
     if trials < 30:
         raise DomainError(f"need at least 30 trees for a fit, got {trials}")
@@ -514,7 +517,6 @@ def estimate_dims(
             derive_seed(seed, "dims", i),
             max_attempts=max_attempts,
             node_budget=node_budget,
-            workers=workers,
         )
         rejections += rej
         ftree = compute_flags(tree)
@@ -524,6 +526,10 @@ def estimate_dims(
 
     tensor = _hist_tensor(hists)
     all_idx = np.arange(trials)
+    # survivors of a fitted level whose rewritten word is longer than it
+    lengths = np.arange(tensor.shape[2])
+    longer = lengths[None, :] > n_range[:, None]
+    insertions = int(tensor[:, n_range, :][:, longer].sum())
     counts = tensor.sum(axis=2)  # (trees, levels) survivor counts
     log_m = math.log(params.m)
     s_logmeans = np.log(counts[:, n_range].mean(axis=0)) / log_m
@@ -575,6 +581,7 @@ def estimate_dims(
         s_grid=tuple(float(s) for s in grid),
         seed=seed,
         rejections=rejections,
+        insertions=insertions,
         widened=widened,
         converged=t_hat is not None,
     )
@@ -678,11 +685,11 @@ def qs_ratio_scan(
 
 
 def report_json_bytes(command: str, config: dict, results: dict, passed=None) -> bytes:
-    """Canonical percoqs-report/1 bytes; every report embeds its full
-    resolved configuration (seeds included, execution details like
-    worker counts excluded so identical runs stay byte-identical)."""
+    """Canonical percoqs-report/2 bytes; every report embeds the
+    resolved configuration it ran (seeds included), so identical runs are
+    byte-identical.  /2 names the hierarchical SplitMix64 sampling rule."""
     obj = {
-        "format": "percoqs-report/1",
+        "format": "percoqs-report/2",
         "command": command,
         "config": config,
         "results": results,

@@ -1,10 +1,13 @@
 """Fractal percolation sampling with counter-based per-node randomness.
 
-Each node of the M^d-ary address tree survives or dies by hashing the
-master seed together with the node's full label path, so verdicts are a
-pure function of (seed, word): independent of evaluation order, thread
-count, and of which other nodes were ever examined.  The root always
-survives.  A sampled tree keeps, per level, the surviving words in
+Every node of the M^d-ary address tree carries a 64-bit key: the root's
+is mix64(seed) and child j of node w gets mix64(key(w) XOR j * PHI)
+(mod 2^64), where mix64 is the SplitMix64 finaliser and PHI the 64-bit
+golden-ratio constant.  A non-root node survives iff its key is below
+floor(p * 2^64).  Verdicts are therefore a pure function of (seed, word):
+independent of evaluation order and of which other nodes were ever
+examined.  The sampler evaluates one whole level at a time on uint64
+arrays.  A sampled tree keeps, per level, the surviving words in
 lexicographic order as parallel parent-index / label arrays; children of
 a node occupy a contiguous slice of the next level.
 """
@@ -22,8 +25,13 @@ from .lattice import Params, Word, validate_label, validate_word
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_REJECTION_BUDGET = 10**6
+_TREE_FORMAT = "percoqs-tree/2"
 
 _TWO64 = 2**64
+# the SplitMix64 increment and finaliser constants (Steele, Lea & Flood 2014)
+_PHI = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _validate_seed(seed: int) -> None:
@@ -32,7 +40,7 @@ def _validate_seed(seed: int) -> None:
 
 
 def survival_threshold(p: float) -> int:
-    """floor(p * 2^64); a node survives iff its 64-bit hash value is below."""
+    """floor(p * 2^64); a node survives iff its 64-bit key is below."""
     if not (0.0 <= p < 1.0):
         raise DomainError(f"survival probability must lie in [0, 1), got {p}")
     # p * 2^64 is an exact binary64 scaling, so the floor is reproducible
@@ -40,57 +48,42 @@ def survival_threshold(p: float) -> int:
     return int(p * 2.0**64)
 
 
-@dataclass(frozen=True)
-class SeedPolicy:
-    """Master seed for a whole tree; node verdicts derive from it."""
-
-    master_seed: int
-
-    def __post_init__(self) -> None:
-        _validate_seed(self.master_seed)
-
-    def node_message(self, word: Word) -> bytes:
-        if len(word) < 1:
-            raise DomainError("the root is never hashed; need a word of length >= 1")
-        return f"{self.master_seed}:{'.'.join(str(l) for l in word)}".encode("ascii")
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser of a uint64 array, wrapping mod 2^64; the
+    input is left untouched."""
+    z = z ^ (z >> np.uint64(30))
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def node_survives(policy: SeedPolicy, p: float, word: Word) -> bool:
-    """Survival verdict for one node: first 8 digest bytes, big-endian,
-    compared against floor(p * 2^64)."""
-    digest = hashlib.sha256(policy.node_message(word)).digest()
-    u = int.from_bytes(digest[:8], "big")
-    return u < survival_threshold(p)
+def _root_key(seed: int) -> np.ndarray:
+    _validate_seed(seed)
+    return _mix64(np.array([seed], dtype=np.uint64))
+
+
+def node_survives(seed: int, p: float, word: Word) -> bool:
+    """Survival verdict of one non-root node: the key folded down the
+    word, compared against floor(p * 2^64).  sample_tree applies the same
+    rule a whole level at a time."""
+    if len(word) < 1:
+        raise DomainError("the root always survives; need a word of length >= 1")
+    if min(word) < 1:
+        raise DomainError(f"labels start at 1, got {min(word)}")
+    key = _root_key(seed)
+    for salt in np.array(word, dtype=np.uint64)[:, None] * _PHI:
+        key = _mix64(key ^ salt)
+    return bool(key[0] < np.uint64(survival_threshold(p)))
 
 
 def derive_seed(master_seed: int, *parts: object) -> int:
-    """Deterministic sub-seed for independent trials; the '|'-separated
-    message space is disjoint from node messages."""
+    """Deterministic sub-seed for independent trials: the first 8 bytes
+    of SHA-256 over the '|'-separated message, a stream separate from
+    the node keys."""
     msg = f"{master_seed}|" + "|".join(str(p) for p in parts)
     return int.from_bytes(hashlib.sha256(msg.encode("ascii")).digest()[:8], "big")
-
-
-def _scan_chunk(
-    msgs: list[bytes], suffixes: list[bytes], thr: bytes, base: int
-) -> tuple[list[int], list[int], list[bytes]]:
-    """Evaluate all children of a run of parent messages.
-
-    thr is the 8-byte big-endian threshold; comparing the full 32-byte
-    digest against it lexicographically equals the strict u < threshold
-    test on the leading 8 bytes.
-    """
-    sha = hashlib.sha256
-    parents: list[int] = []
-    labels: list[int] = []
-    out_msgs: list[bytes] = []
-    for i, m in enumerate(msgs):
-        for j, suf in enumerate(suffixes):
-            cand = m + suf
-            if sha(cand).digest() < thr:
-                parents.append(base + i)
-                labels.append(j + 1)
-                out_msgs.append(cand)
-    return parents, labels, out_msgs
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +190,7 @@ class PercTree:
     def to_json_dict(self) -> dict:
         pr = self.params
         return {
-            "format": "percoqs-tree/1",
+            "format": _TREE_FORMAT,
             "M": pr.m,
             "d": pr.d,
             "p": pr.p,
@@ -287,10 +280,11 @@ def tree_from_words(
 
 
 def tree_from_json_dict(obj: dict) -> PercTree:
-    """Read a percoqs-tree/1 object; a missing or malformed field raises
-    DomainError."""
+    """Read a percoqs-tree/1 or /2 object; both store their survivors, so
+    the sampling rule they name does not matter here.  A missing or
+    malformed field raises DomainError."""
     fmt = obj.get("format") if isinstance(obj, dict) else None
-    if fmt != "percoqs-tree/1":
+    if fmt not in ("percoqs-tree/1", _TREE_FORMAT):
         raise DomainError(f"unsupported tree format {fmt!r}")
     try:
         m, d, k = int(obj["M"]), int(obj["d"]), int(obj["K"])
@@ -311,68 +305,38 @@ def sample_tree(
     depth: int,
     seed: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
 ) -> PercTree:
     """Sample the percolation tree to a fixed depth.
 
-    Evaluates every child of every surviving node; the budget caps the
-    number of candidate evaluations and aborts before a level that would
-    exceed it (no silent truncation).  Worker processes split each level
-    into contiguous runs, so the result is byte-identical for any worker
-    count.
+    Evaluates every child of every surviving node, one level at a time:
+    an (n, M^d) array of child keys, whose below-threshold entries, in
+    row-major order, are the next level's (parent, label) pairs and keys.
+    The budget caps the number of candidate evaluations and aborts before
+    a level that would exceed it (no silent truncation).
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
-    _validate_seed(seed)
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     a = params.alphabet_size
-    thr = survival_threshold(params.p).to_bytes(8, "big")
+    thr = np.uint64(survival_threshold(params.p))
+    salts = np.arange(1, a + 1, dtype=np.uint64) * _PHI
     parents = [np.array([-1], dtype=np.int32)]
     labels = [np.array([0], dtype=np.int32)]
-    msgs = [str(seed).encode("ascii")]
+    keys = _root_key(seed)
     evaluated = 0
-    pool = None
-    if workers > 1:
-        # imported here: the pool's modules cost 2 MB of RSS that
-        # single-worker runs never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        for level in range(depth):
-            n_candidates = len(msgs) * a
-            if evaluated + n_candidates > node_budget:
-                raise CapacityError(
-                    f"node budget {node_budget} would be exceeded at level "
-                    f"{level + 1} ({evaluated} evaluated, {n_candidates} pending); "
-                    "raise the budget to sample deeper"
-                )
-            evaluated += n_candidates
-            sep = b":" if level == 0 else b"."
-            suffixes = [sep + str(j).encode("ascii") for j in range(1, a + 1)]
-            if pool is not None and len(msgs) >= 2 * workers:
-                step = -(-len(msgs) // workers)
-                futures = [
-                    pool.submit(_scan_chunk, msgs[b : b + step], suffixes, thr, b)
-                    for b in range(0, len(msgs), step)
-                ]
-                par: list[int] = []
-                lab: list[int] = []
-                nxt: list[bytes] = []
-                for fut in futures:  # submission order keeps results canonical
-                    cp, cl, cm = fut.result()
-                    par.extend(cp)
-                    lab.extend(cl)
-                    nxt.extend(cm)
-            else:
-                par, lab, nxt = _scan_chunk(msgs, suffixes, thr, 0)
-            parents.append(np.array(par, dtype=np.int32))
-            labels.append(np.array(lab, dtype=np.int32))
-            msgs = nxt
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for level in range(depth):
+        n_candidates = keys.shape[0] * a
+        if evaluated + n_candidates > node_budget:
+            raise CapacityError(
+                f"node budget {node_budget} would be exceeded at level "
+                f"{level + 1} ({evaluated} evaluated, {n_candidates} pending); "
+                "raise the budget to sample deeper"
+            )
+        evaluated += n_candidates
+        child = _mix64(keys[:, None] ^ salts)
+        par, lab = np.nonzero(child < thr)
+        parents.append(par.astype(np.int32))
+        labels.append(lab.astype(np.int32) + 1)
+        keys = child[par, lab]
     return PercTree(params, seed, depth, tuple(parents), tuple(labels))
 
 
@@ -382,7 +346,6 @@ def sample_nonextinct(
     seed: int,
     max_attempts: int = DEFAULT_REJECTION_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
 ) -> tuple[PercTree, int]:
     """Rejection-sample a tree with survivors at the target depth.
 
@@ -394,11 +357,7 @@ def sample_nonextinct(
         raise DomainError(f"max_attempts must be >= 1, got {max_attempts}")
     for attempt in range(max_attempts):
         tree = sample_tree(
-            params,
-            depth,
-            (seed + attempt) % _TWO64,
-            node_budget=node_budget,
-            workers=workers,
+            params, depth, (seed + attempt) % _TWO64, node_budget=node_budget
         )
         if tree.nonextinct:
             return tree, attempt

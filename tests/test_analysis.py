@@ -26,7 +26,12 @@ from percoqs.analysis import (
 )
 from percoqs.errors import DomainError
 from percoqs.lattice import Params
-from percoqs.percolation import sample_tree, tree_from_words
+from percoqs.percolation import (
+    derive_seed,
+    sample_nonextinct,
+    sample_tree,
+    tree_from_words,
+)
 from percoqs.substitution import compute_flags
 
 P_HALF = Params(m=3, d=2, p=0.5)
@@ -328,11 +333,23 @@ def test_estimate_dims_full_tree_recovers_d():
     fit = estimate_dims(
         P_NEAR_ONE, trials=30, depth=3, s_grid=(1.8, 1.9, 2.0, 2.1, 2.2), seed=0
     )
-    assert fit.rejections == 0
+    assert fit.rejections == 0 and fit.insertions == 0
     assert fit.s_hat == pytest.approx(2.0, abs=1e-9)
     assert fit.t_hat == pytest.approx(2.0, abs=1e-9)
     assert fit.converged and not fit.widened
     assert fit.s_ci[0] <= fit.s_hat <= fit.s_ci[1]
+
+
+def test_estimate_dims_counts_insertions():
+    # survivors of levels 1..4 whose rewritten word outgrew their level,
+    # counted straight from the flagged trees the fit draws
+    fit = estimate_dims(P_HALF, trials=30, depth=4, s_grid=(1.0, 1.5, 2.0), seed=3)
+    want = 0
+    for i in range(30):
+        tree, _ = sample_nonextinct(P_HALF, 4, derive_seed(3, "dims", i))
+        lengths = compute_flags(tree).tilde_lengths
+        want += sum(int((lengths[n] > n).sum()) for n in range(1, 5))
+    assert fit.insertions == want > 0
 
 
 def test_estimate_dims_widens_grid_when_needed():
@@ -379,7 +396,7 @@ def test_report_json_bytes_shape():
     raw = report_json_bytes("solve-t", {"M": 3}, {"t": 0.5}, passed=True)
     assert raw.endswith(b"\n")
     obj = json.loads(raw)
-    assert obj["format"] == "percoqs-report/1"
+    assert obj["format"] == "percoqs-report/2"
     assert obj["command"] == "solve-t"
     assert obj["config"] == {"M": 3}
     assert obj["results"] == {"t": 0.5}

@@ -39,6 +39,7 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
     assert main(["solve", "kappa", "--M", "3"]) == EXIT_USAGE  # --s required
     assert main(["sample", "--p", "1.5"]) == EXIT_USAGE
     assert main(["sample", "--M", "2"]) == EXIT_USAGE
+    assert main(["sample", "--workers", "0"]) == EXIT_USAGE
     assert main(["check", "martingale", "--depth", "3", "--level", "7",
                  "--trials", "200"]) == EXIT_USAGE
     capsys.readouterr()
@@ -116,14 +117,14 @@ def test_sample_writes_canonical_tree(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "level 0: 1 survivors" in err
     obj = json.loads(out.read_bytes())
-    assert obj["format"] == "percoqs-tree/1"
+    assert obj["format"] == "percoqs-tree/2"
     assert obj["depth"] == 3 and obj["seed"] == 5
 
 
 def test_sample_stdout_when_no_out(capsys):
     assert main(["sample", "--depth", "1", "--seed", "0"]) == EXIT_OK
     obj = json.loads(capsys.readouterr().out)
-    assert obj["format"] == "percoqs-tree/1"
+    assert obj["format"] == "percoqs-tree/2"
 
 
 def test_sample_reruns_byte_identical(tmp_path, capsys):
@@ -183,10 +184,10 @@ def test_hand_tree_output_bytes_frozen():
     # digests of the tree file, the plain panels and the image panels;
     # the trees are built by hand, so a sampler change leaves them valid
     want = [
-        ("f4389f6c2bb6c380bd2f7935e15e4d24c1f9c0f7ebe1f15759c104850facb6e2",
+        ("1ebb33cd8d8d9bab2e84b45b8072142912d496a7bbaab3fd6ef6409cf54c89c7",
          "eac6ed9277528d2f43b61c360867d3587d57bcc84b1c5b261a7a33452ed46d52",
          "298a85bc5592a54c2d4462415d569ae597024de900a446634e4d7b211f55013f"),
-        ("be93d786a76ba6445516b231c3bdca56cddf5b4a06a984735bbbc74cd3506046",
+        ("f03ae51a6ce6b4213a37758e03fd868e6ae3b69ee23d73e814203ecc0862a872",
          "70347c16c650ce67f36dea99ee948b3ae9bede7db431fd841d9b2d26bcd5fd21",
          "af38923a0ec819bb9559cbac92c24001b444c61dde1229f83011dd048b6d2de4"),
     ]
@@ -266,11 +267,21 @@ def test_check_oracle_report(tmp_path, capsys):
     assert main(["check", "oracle", "--out", str(report)]) == EXIT_OK
     assert "PASS" in capsys.readouterr().out
     obj = json.loads(report.read_bytes())
-    assert obj["format"] == "percoqs-report/1"
+    assert obj["format"] == "percoqs-report/2"
     assert obj["pass"] is True
     assert obj["results"]["worst_error"] <= 1e-12
-    assert set(obj["config"]) >= {"M", "d", "p", "K", "eta", "seed"}
-    assert "workers" not in obj["config"]
+    assert set(obj["config"]) == {"M", "d", "p_grid", "K_grid", "s_grid", "tolerance"}
+
+
+def test_check_oracle_config_is_what_it_ran(tmp_path, capsys):
+    # the oracle runs its own p, K and s grids, so --p and --K change nothing
+    blobs = []
+    for i, extra in enumerate(([], ["--K", "3", "--p", "0.2"])):
+        report = tmp_path / f"oracle{i}.json"
+        assert main(["check", "oracle", "--out", str(report), *extra]) == EXIT_OK
+        blobs.append(report.read_bytes())
+    assert blobs[0] == blobs[1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("flags", [["--d", "3"], ["--M", "5", "--d", "3"]])
@@ -294,10 +305,24 @@ def test_check_qs_runs(capsys):
 
 
 def test_check_dims_runs(capsys):
-    argv = ["check", "dims", "--p", "0.7", "--depth", "4", "--trials", "30"]
+    argv = ["check", "dims", "--p", "0.5", "--depth", "6", "--trials", "100"]
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert "t_hat < s_hat: PASS" in out
+
+
+def test_check_dims_fails_without_insertions(tmp_path, capsys):
+    # at p just below 1 no cell loses its boundary children, so nothing is
+    # rewritten and t_hat - s_hat is rounding noise
+    report = tmp_path / "dims.json"
+    argv = ["check", "dims", "--p", "0.9999999999999999", "--depth", "3",
+            "--trials", "30", "--out", str(report)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "no survivor of a fitted level has an insertion" in out
+    assert "t_hat < s_hat: FAIL" in out
+    obj = json.loads(report.read_bytes())
+    assert obj["results"]["insertions"] == 0 and obj["pass"] is False
 
 
 def test_check_global_runs(tmp_path, capsys):

@@ -1,6 +1,5 @@
-"""Deterministic tree sampling: digest contract, structure, statistics."""
+"""Deterministic tree sampling: key contract, structure, statistics."""
 
-import hashlib
 import json
 
 import numpy as np
@@ -10,7 +9,6 @@ from percoqs.errors import CapacityError, DomainError
 from percoqs.lattice import Params
 from percoqs.percolation import (
     PercTree,
-    SeedPolicy,
     derive_seed,
     node_survives,
     sample_nonextinct,
@@ -29,33 +27,50 @@ P_NEAR_ONE = Params(m=3, d=2, p=1.0 - 2.0**-53)
 # --- per-node verdicts -----------------------------------------------------
 
 
-def test_node_message_bytes():
-    policy = SeedPolicy(42)
-    assert policy.node_message((9,)) == b"42:9"
-    assert policy.node_message((9, 3)) == b"42:9.3"
-    with pytest.raises(DomainError):
-        policy.node_message(())
-    with pytest.raises(DomainError):
-        SeedPolicy(-1)
-    with pytest.raises(DomainError):
-        SeedPolicy(2**64)
+_MASK64 = 2**64 - 1
 
 
-def test_node_survives_matches_reference_digest():
-    # reference computation straight from hashlib, no shared helpers
-    policy = SeedPolicy(42)
-    for word in [(9,), (9, 3), (1, 2, 3), (7,) * 8]:
-        msg = ("42:" + ".".join(str(l) for l in word)).encode()
-        u = int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
-        for p in (0.001, 0.25, 0.5, 0.75, 0.999):
-            assert node_survives(policy, p, word) == (u < int(p * 2.0**64))
+def _reference_key(seed, word):
+    # the hierarchical SplitMix64 rule in plain Python ints, no shared helpers
+    def mix64(z):
+        z ^= z >> 30
+        z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+        z ^= z >> 27
+        z = (z * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    key = mix64(seed)
+    for label in word:
+        key = mix64(key ^ ((label * 0x9E3779B97F4A7C15) & _MASK64))
+    return key
+
+
+def test_node_survives_validation():
+    with pytest.raises(DomainError):
+        node_survives(42, 0.5, ())
+    with pytest.raises(DomainError):
+        node_survives(42, 0.5, (9, 0))
+    with pytest.raises(DomainError):
+        node_survives(-1, 0.5, (9,))
+    with pytest.raises(DomainError):
+        node_survives(2**64, 0.5, (9,))
+
+
+def test_node_survives_matches_reference_key():
+    words = [(9,), (9, 3), (1, 2, 3), (7,) * 8, (81,) * 3]
+    for seed in (0, 42, 2**64 - 1):
+        for word in words:
+            u = _reference_key(seed, word)
+            for p in (0.001, 0.25, 0.5, 0.75, 0.999):
+                assert node_survives(seed, p, word) == (u < int(p * 2.0**64))
 
 
 def test_node_survives_frozen_verdict():
-    # sha256(b"42:9")[:8] big-endian = 8787383835065114363, about
-    # 0.4764 * 2^64, so the node lives at p=0.5 and dies at p=0.45
-    assert node_survives(SeedPolicy(42), 0.5, (9,))
-    assert not node_survives(SeedPolicy(42), 0.45, (9,))
+    # key(42, (9,)) = 3532799907163358599, about 0.1915 * 2^64, so the
+    # node lives at p=0.2 and dies at p=0.19
+    assert _reference_key(42, (9,)) == 3532799907163358599
+    assert node_survives(42, 0.2, (9,))
+    assert not node_survives(42, 0.19, (9,))
 
 
 def test_survival_threshold_edges():
@@ -113,20 +128,11 @@ def test_sampled_tree_structure():
 
 def test_every_sampled_node_matches_its_verdict():
     t = sample_tree(P32, 3, 99)
-    policy = SeedPolicy(99)
-    for k in range(1, 4):
+    # every live node survives, and every child it lacks dies
+    for k in range(3):
         for w in t.words(k):
-            assert node_survives(policy, 0.7, w)
-    # and no surviving child is missing from the tree
-    for w in t.words(2):
-        live = {j for j in range(1, 10) if node_survives(policy, 0.7, w + (j,))}
-        assert set(t.child_labels(2, t.find(w))) == live
-
-
-def test_determinism_across_worker_counts():
-    base = sample_tree(P32, 4, 5, workers=1).to_canonical_bytes()
-    for workers in (4, 16):
-        assert sample_tree(P32, 4, 5, workers=workers).to_canonical_bytes() == base
+            live = {j for j in range(1, 10) if node_survives(99, 0.7, w + (j,))}
+            assert set(t.child_labels(k, t.find(w))) == live
 
 
 def test_truncate_equals_shallower_sample():
@@ -170,9 +176,11 @@ def test_nonextinct_rejects_seeds_in_order():
 
 
 def test_nonextinct_budget_and_extinction_hint():
-    params = Params(m=3, d=2, p=1 / 18)  # deep in the a.s.-extinction regime
+    # deep in the a.s.-extinction regime; at depth 40 the survival
+    # recursion gives q < 1e-12, so every one of 20 attempts goes extinct
+    params = Params(m=3, d=2, p=1 / 18)
     with pytest.raises(CapacityError, match="extinction"):
-        sample_nonextinct(params, 6, 0, max_attempts=20)
+        sample_nonextinct(params, 40, 0, max_attempts=20)
 
 
 def test_acceptance_rate_matches_branching_survival():
@@ -250,8 +258,16 @@ def test_subtree_law_matches_fresh_trees():
 def test_json_roundtrip():
     t = sample_tree(P32, 3, 17)
     obj = json.loads(t.to_canonical_bytes())
-    assert obj["format"] == "percoqs-tree/1"
+    assert obj["format"] == "percoqs-tree/2"
     assert obj["survivors"][0] == [[]]
+    back = tree_from_json_dict(obj)
+    assert back.to_canonical_bytes() == t.to_canonical_bytes()
+
+
+def test_version_1_tree_still_read():
+    # a /1 file stores its survivors, so it reads back whatever rule drew them
+    t = tree_from_words(P32, 2, [[()], [(3,), (9,)], [(3, 1), (9, 9)]])
+    obj = {**json.loads(t.to_canonical_bytes()), "format": "percoqs-tree/1"}
     back = tree_from_json_dict(obj)
     assert back.to_canonical_bytes() == t.to_canonical_bytes()
 
