@@ -13,15 +13,14 @@ from .lattice import (
     ExactPoint,
     Params,
     box_of_word,
+    corner_floats,
     default_eta,
-    dist_max,
     is_boundary_label,
     label_to_offset,
     offset_to_label,
     pi_finite,
     validate_label,
     validate_word,
-    word_meet,
 )
 from .percolation import (
     PercTree,
@@ -37,12 +36,10 @@ from .percolation import (
 )
 from .substitution import (
     FlaggedTree,
-    TildeWord,
-    comparability_ratio,
     compute_flags,
-    f_point,
     image_cover,
-    tilde,
+    level_table,
+    pair_ratios,
 )
 from .globalmap import GeomConfig, f_global, g, g_batch, madic_address
 from .analysis import (
@@ -83,17 +80,14 @@ __all__ = [
     "PercTree",
     "PreconditionError",
     "QsScan",
-    "TildeWord",
     "box_of_word",
-    "comparability_ratio",
     "compute_flags",
+    "corner_floats",
     "default_eta",
     "derive_seed",
-    "dist_max",
     "epsilon_table",
     "estimate_dims",
     "f_global",
-    "f_point",
     "g",
     "g_batch",
     "image_cover",
@@ -102,10 +96,12 @@ __all__ = [
     "kappa_prime",
     "label_to_offset",
     "level1_oracle",
+    "level_table",
     "madic_address",
     "martingale_check",
     "node_survives",
     "offset_to_label",
+    "pair_ratios",
     "partition_sum",
     "pi_finite",
     "qs_ratio_scan",
@@ -115,12 +111,10 @@ __all__ = [
     "solve_t",
     "subtree",
     "survival_threshold",
-    "tilde",
     "tree_from_json_dict",
     "tree_from_words",
     "truncate",
     "validate_label",
     "validate_word",
-    "word_meet",
     "zero_slope",
 ]

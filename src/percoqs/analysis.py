@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .lattice import Params, corner_floats
 from .percolation import derive_seed, sample_nonextinct
-from .substitution import FlaggedTree, comparability_ratio, compute_flags, level_table
+from .substitution import FlaggedTree, compute_flags, level_table, pair_ratios
 
 BISECT_ITERATIONS = 200
 
@@ -628,8 +628,7 @@ def qs_ratio_scan(
     Also tracks the exact two-point distortion range over the first
     `exact_pairs` usable (x, y) pairs.
     """
-    tree = ftree.tree
-    count = tree.count(level)
+    count = ftree.tree.count(level)
     if count < 3:
         raise DomainError(f"need at least 3 survivors at level {level}, got {count}")
     if triples < 1:
@@ -653,8 +652,8 @@ def qs_ratio_scan(
         img = corner_floats(pr.m, img_nums, ftree.tilde_lengths[level][nodes])
         rows = np.searchsorted(nodes, kept)
         xs, ys, zs = rows[:, 0], rows[:, 1], rows[:, 2]
-        # distinct survivors have distinct corners and (tilde is injective)
-        # distinct images, so every kept distance is positive
+        # distinct survivors have distinct corners and (the rewriting is
+        # injective) distinct images, so every kept distance is positive
         d_in_xy = np.abs(src[xs] - src[ys]).max(axis=1)
         d_in_xz = np.abs(src[xs] - src[zs]).max(axis=1)
         d_out_xy = np.abs(img[xs] - img[ys]).max(axis=1)
@@ -663,14 +662,8 @@ def qs_ratio_scan(
         r_out = d_out_xy / d_out_xz
         control = np.maximum(r_in, r_in ** (pr.k + 1))
         c_emp = float((r_out / control).max())
-        for xi, yi in kept[:exact_pairs, :2]:
-            rr = float(
-                comparability_ratio(
-                    ftree, tree.word_of(level, int(xi)), tree.word_of(level, int(yi))
-                )
-            )
-            rmin = min(rmin, rr)
-            rmax = max(rmax, rr)
+        exact = [float(r) for r in pair_ratios(ftree, level, kept[:exact_pairs, :2])]
+        rmin, rmax = min(exact, default=rmin), max(exact, default=rmax)
     return QsScan(
         level=level,
         triples=triples,

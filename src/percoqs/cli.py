@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, globalmap, percolation, substitution
 from .errors import CapacityError, DomainError, PreconditionError
-from .lattice import Params, corner_floats, pi_finite
+from .lattice import Params, corner_floats
 from .percolation import DEFAULT_NODE_BUDGET, derive_seed
 
 EXIT_OK = 0
@@ -198,6 +198,8 @@ def render_svg(tree, levels, image=False, px=220, gap=14) -> str:
 
 
 def cmd_render(args) -> int:
+    if args.px < 1:
+        raise DomainError(f"--px must be >= 1, got {args.px}")
     with open(args.tree, "rb") as fh:
         try:
             obj = json.load(fh)
@@ -371,7 +373,13 @@ def cmd_check_qs(args) -> int:
 def cmd_check_dims(args) -> int:
     params = _params(args)
     trials = args.trials if args.trials is not None else 200
-    grid = np.round(np.arange(args.grid_lo, args.grid_hi + 1e-9, args.grid_step), 12)
+    lo, hi, step = args.grid_lo, args.grid_hi, args.grid_step
+    if not (all(math.isfinite(v) for v in (lo, hi, step)) and step > 0):
+        raise DomainError(
+            f"the s grid needs finite bounds and a positive step, got "
+            f"--grid-lo {lo} --grid-hi {hi} --grid-step {step}"
+        )
+    grid = np.round(np.arange(lo, hi + 1e-9, step), 12)
     fit = analysis.estimate_dims(
         params,
         trials,
@@ -423,7 +431,7 @@ def cmd_check_global(args) -> int:
     core_pts = 0.5 + (pts - 0.5) * cfg.core_ratio
     core_pts[np.arange(2000), face] = 0.5 + sign * shell
     inner_vals = cfg.eta_corner + cfg.eta_scale * core_pts
-    outer = np.array([globalmap.g(cfg, u) for u in core_pts])
+    outer = globalmap.g_batch(cfg, core_pts)
     branch_err = float(np.max(np.abs(outer - inner_vals)))
     results["branch_agreement_max"] = branch_err
     ok &= branch_err <= 1e-12
@@ -458,11 +466,12 @@ def cmd_check_global(args) -> int:
     worst = 0.0
     for level in range(1, args.depth + 1):
         count = tree.count(level)
-        for i in rng.integers(0, count, size=min(50, count)):
-            w = tree.word_of(level, int(i))
-            u = np.array(pi_finite(params, w).to_floats())
+        idx = rng.integers(0, count, size=min(50, count))
+        src, img = substitution.level_table(ftree, level, idx)
+        us = corner_floats(params.m, src, level)
+        fws = corner_floats(params.m, img, ftree.tilde_lengths[level][idx])
+        for u, fw in zip(us, fws):
             fu = globalmap.f_global(ftree, u, level)
-            fw = np.array(substitution.f_point(ftree, w).to_floats())
             worst = max(worst, float(np.max(np.abs(fu - fw))))
     results["corner_agreement_max"] = worst
     ok &= worst <= 1e-9

@@ -35,7 +35,7 @@ from .lattice import (
     offset_to_label,
     pi_finite,
 )
-from .substitution import FlaggedTree, tilde
+from .substitution import FlaggedTree, level_table
 
 _EDGE_TOL = 1e-12
 
@@ -171,9 +171,10 @@ def f_global(ftree: FlaggedTree, u, resolution: int) -> np.ndarray:
         n += 1
         idx = nxt
 
-    tw = tilde(ftree, word[:n])
-    base = pi_finite(params, tw.labels).as_fractions()
-    scale = Fraction(1, params.m ** len(tw))
+    # the rewritten prefix's cell: corner numerators over M^t, side M^-t
+    t = int(ftree.tilde_lengths[n][idx])
+    scale = Fraction(1, params.m**t)
+    base = tuple(c * scale for c in level_table(ftree, n, [idx])[1][0].tolist())
     tail = word[n:]
     tail_corner = pi_finite(params, tail).as_fractions()
     tail_scale = Fraction(1, params.m ** len(tail))

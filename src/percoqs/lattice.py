@@ -139,16 +139,6 @@ def is_boundary_label(params: Params, label: int) -> bool:
     return label <= params.n_boundary
 
 
-def word_meet(i: Word, j: Word) -> Word:
-    """Longest common prefix of two words."""
-    n = 0
-    for a, b in zip(i, j):
-        if a != b:
-            break
-        n += 1
-    return tuple(i[:n])
-
-
 @dataclass(frozen=True)
 class ExactPoint:
     """A point of [0,1]^d with coordinates numerator / m^level.
@@ -240,16 +230,6 @@ def corner_floats(m: int, nums: np.ndarray, levels) -> np.ndarray:
         [[n / m ** int(l) for n in row] for row, l in zip(nums.tolist(), levels)],
         dtype=np.float64,
     )
-
-
-def dist_max(x: ExactPoint, y: ExactPoint) -> Fraction:
-    """Chebyshev (max-coordinate) distance, exact."""
-    if x.m != y.m or x.dim != y.dim:
-        raise DomainError("points live on different lattices")
-    level = max(x.level, y.level)
-    xs = x.nums_at_level(level)
-    ys = y.nums_at_level(level)
-    return Fraction(max(abs(a - b) for a, b in zip(xs, ys)), x.m**level)
 
 
 @dataclass(frozen=True)

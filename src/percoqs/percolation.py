@@ -183,10 +183,6 @@ class PercTree:
             out[:, k - 1] = self.labels[k][chain[k]]
         return out
 
-    def words(self, level: int) -> list[Word]:
-        """All surviving words of a level, lexicographically sorted."""
-        return [tuple(w) for w in self.label_matrix(level).tolist()]
-
     def to_json_dict(self) -> dict:
         pr = self.params
         return {

@@ -7,6 +7,10 @@ parent prefix is flagged; rewriting happens in one pass over the source
 word and is never re-applied inside inserted blocks.  Mapping rewritten
 words through their corner points yields a map of surviving corners that
 shrinks flagged branches by an extra factor M^-K.
+
+The exact geometry is computed a whole level at a time: level_table
+gives the integer corner numerators of the source and rewritten words,
+and pair_ratios turns rows of it into exact two-point distortions.
 """
 
 from __future__ import annotations
@@ -17,29 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .lattice import (
-    Box,
-    ExactPoint,
-    Word,
-    dist_max,
-    label_to_offset,
-    pi_finite,
-    validate_word,
-    word_meet,
-)
+from .lattice import Box, ExactPoint, label_to_offset, pi_finite
 from .percolation import PercTree
-
-
-@dataclass(frozen=True)
-class TildeWord:
-    """A rewritten word plus the 1-based source positions that triggered
-    an insertion."""
-
-    labels: Word
-    insertions: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,59 +72,6 @@ def compute_flags(tree: PercTree) -> FlaggedTree:
     return FlaggedTree(tree, tuple(flags), tuple(tls))
 
 
-def _walk_prefix_nodes(ftree: FlaggedTree, word: Word) -> list[int]:
-    """Node indices of word prefixes of lengths 0..len(word)-1.
-
-    Raises when a proper prefix died or the word overruns the depth at
-    which flags are defined.
-    """
-    if len(word) > ftree.depth:
-        raise PreconditionError(
-            f"word of length {len(word)} overruns sampled depth {ftree.depth}; "
-            "flags past the deepest level are unknown"
-        )
-    nodes = [0]
-    for n in range(len(word) - 1):
-        nxt = ftree.tree.child_index(n, nodes[-1], word[n])
-        if nxt is None:
-            raise PreconditionError(
-                f"prefix {word[: n + 1]} did not survive; substitution undefined"
-            )
-        nodes.append(nxt)
-    return nodes
-
-
-def tilde(ftree: FlaggedTree, word: Word) -> TildeWord:
-    """Rewrite a word, inserting eta before each letter whose parent
-    prefix is flagged.
-
-    Defined whenever every proper prefix survived (the final letter may
-    be any label).  The empty word rewrites to itself.
-    """
-    word = tuple(word)
-    validate_word(ftree.params, word)
-    nodes = _walk_prefix_nodes(ftree, word)
-    eta = ftree.params.eta
-    out: list[int] = []
-    insertions: list[int] = []
-    for n, lab in enumerate(word):
-        if ftree.flags[n][nodes[n]]:
-            out.extend(eta)
-            insertions.append(n + 1)
-        out.append(lab)
-    return TildeWord(tuple(out), tuple(insertions))
-
-
-def f_point(ftree: FlaggedTree, word: Word) -> ExactPoint:
-    """Image of a surviving word's corner: the corner of its rewritten
-    word."""
-    word = tuple(word)
-    tw = tilde(ftree, word)
-    if word and ftree.tree.find(word) is None:
-        raise PreconditionError(f"word {word} did not survive; corner has no image")
-    return pi_finite(ftree.params, tw.labels)
-
-
 def level_table(
     ftree: FlaggedTree, level: int, nodes=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +108,46 @@ def level_table(
     return src, img
 
 
+def pair_ratios(ftree: FlaggedTree, level: int, pairs) -> list[Fraction]:
+    """Exact distortion of the corner map between pairs of a level's
+    nodes, rescaled by the rewriting of their meet:
+
+        dist(f(x), f(y)) * M^(|rewritten meet| - |meet|) / dist(corner(x), corner(y))
+
+    pairs is an (n, 2) array of node indices of the level; a pair of
+    equal nodes raises.  The meet's length is the number of levels >= 1
+    where the two prefix chains agree.  Numerators and denominators are
+    Python integers, so rows past int64 stay exact.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if np.any(pairs[:, 0] == pairs[:, 1]):
+        raise DomainError("a pair must join two distinct nodes")
+    m = ftree.params.m
+    flat = pairs.ravel()
+    chain = ftree.tree.prefix_nodes(level, flat)
+    # prefixes agree up to the meet and differ past it
+    meet = np.zeros(pairs.shape[0], dtype=np.int64)
+    meet_len = np.zeros(pairs.shape[0], dtype=np.int64)
+    for k in range(1, level):
+        xs = chain[k][0::2]
+        agree = xs == chain[k][1::2]
+        meet[agree] = k
+        meet_len[agree] = ftree.tilde_lengths[k][xs[agree]]
+    shift = meet_len - meet + level
+    src, img = level_table(ftree, level, flat)
+    src, img = src.tolist(), img.tolist()
+    t = ftree.tilde_lengths[level][flat].tolist()
+    out = []
+    for j, e in enumerate(shift.tolist()):
+        x, y = 2 * j, 2 * j + 1
+        top = max(t[x], t[y])
+        ux, uy = m ** (top - t[x]), m ** (top - t[y])
+        num = max(abs(a * ux - b * uy) for a, b in zip(img[x], img[y]))
+        den = max(abs(a - b) for a, b in zip(src[x], src[y]))
+        out.append(Fraction(num * m**e, den * m**top))
+    return out
+
+
 def image_cover(ftree: FlaggedTree, level: int) -> set[Box]:
     """Image boxes of all survivors of a level.
 
@@ -196,27 +166,3 @@ def image_cover(ftree: FlaggedTree, level: int) -> set[Box]:
             "image boxes collided; the substitution lost injectivity"
         )
     return boxes
-
-
-def comparability_ratio(ftree: FlaggedTree, i: Word, j: Word) -> Fraction:
-    """Distortion of the corner map between two surviving words of equal
-    length, rescaled by the meet's rewriting:
-
-        dist(f(i), f(j)) * M^(|tilde(meet)| - |meet|) / dist(corner(i), corner(j))
-
-    Exact rational arithmetic throughout.
-    """
-    i, j = tuple(i), tuple(j)
-    if len(i) != len(j):
-        raise DomainError("words must have equal length")
-    if i == j:
-        raise DomainError("words must differ")
-    fi = f_point(ftree, i)
-    fj = f_point(ftree, j)
-    den = dist_max(pi_finite(ftree.params, i), pi_finite(ftree.params, j))
-    if den == 0:
-        raise DomainError("coincident corners")
-    meet = word_meet(i, j)
-    tmeet = tilde(ftree, meet)
-    scale = Fraction(ftree.params.m) ** (len(tmeet) - len(meet))
-    return dist_max(fi, fj) * scale / den

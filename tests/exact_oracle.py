@@ -1,0 +1,131 @@
+"""One-word exact geometry: the independent oracle of the level tables.
+
+The package computes corners, rewritten corners and pair distortions a
+whole level at a time (substitution.level_table and pair_ratios).  The
+functions here take one word at a time: they walk its prefixes with
+child_index, build the rewritten word letter by letter and measure
+distances in Fractions, so the tests can compare the two paths.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from percoqs.errors import DomainError, PreconditionError
+from percoqs.lattice import ExactPoint, Word, pi_finite, validate_word
+from percoqs.substitution import FlaggedTree
+
+
+def words(tree, level: int) -> list[Word]:
+    """All surviving words of a level, in node order."""
+    return [tuple(w) for w in tree.label_matrix(level).tolist()]
+
+
+def word_meet(i: Word, j: Word) -> Word:
+    """Longest common prefix of two words."""
+    n = 0
+    for a, b in zip(i, j):
+        if a != b:
+            break
+        n += 1
+    return tuple(i[:n])
+
+
+def dist_max(x: ExactPoint, y: ExactPoint) -> Fraction:
+    """Chebyshev (max-coordinate) distance, exact."""
+    if x.m != y.m or x.dim != y.dim:
+        raise DomainError("points live on different lattices")
+    level = max(x.level, y.level)
+    xs = x.nums_at_level(level)
+    ys = y.nums_at_level(level)
+    return Fraction(max(abs(a - b) for a, b in zip(xs, ys)), x.m**level)
+
+
+@dataclass(frozen=True)
+class TildeWord:
+    """A rewritten word plus the 1-based source positions that triggered
+    an insertion."""
+
+    labels: Word
+    insertions: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def _walk_prefix_nodes(ftree: FlaggedTree, word: Word) -> list[int]:
+    """Node indices of word prefixes of lengths 0..len(word)-1.
+
+    Raises when a proper prefix died or the word overruns the depth at
+    which flags are defined.
+    """
+    if len(word) > ftree.depth:
+        raise PreconditionError(
+            f"word of length {len(word)} overruns sampled depth {ftree.depth}; "
+            "flags past the deepest level are unknown"
+        )
+    nodes = [0]
+    for n in range(len(word) - 1):
+        nxt = ftree.tree.child_index(n, nodes[-1], word[n])
+        if nxt is None:
+            raise PreconditionError(
+                f"prefix {word[: n + 1]} did not survive; substitution undefined"
+            )
+        nodes.append(nxt)
+    return nodes
+
+
+def tilde(ftree: FlaggedTree, word: Word) -> TildeWord:
+    """Rewrite a word, inserting eta before each letter whose parent
+    prefix is flagged.
+
+    Defined whenever every proper prefix survived (the final letter may
+    be any label).  The empty word rewrites to itself.
+    """
+    word = tuple(word)
+    validate_word(ftree.params, word)
+    nodes = _walk_prefix_nodes(ftree, word)
+    eta = ftree.params.eta
+    out: list[int] = []
+    insertions: list[int] = []
+    for n, lab in enumerate(word):
+        if ftree.flags[n][nodes[n]]:
+            out.extend(eta)
+            insertions.append(n + 1)
+        out.append(lab)
+    return TildeWord(tuple(out), tuple(insertions))
+
+
+def f_point(ftree: FlaggedTree, word: Word) -> ExactPoint:
+    """Image of a surviving word's corner: the corner of its rewritten
+    word."""
+    word = tuple(word)
+    tw = tilde(ftree, word)
+    if word and ftree.tree.find(word) is None:
+        raise PreconditionError(f"word {word} did not survive; corner has no image")
+    return pi_finite(ftree.params, tw.labels)
+
+
+def comparability_ratio(ftree: FlaggedTree, i: Word, j: Word) -> Fraction:
+    """Distortion of the corner map between two surviving words of equal
+    length, rescaled by the meet's rewriting:
+
+        dist(f(i), f(j)) * M^(|tilde(meet)| - |meet|) / dist(corner(i), corner(j))
+
+    Exact rational arithmetic throughout.
+    """
+    i, j = tuple(i), tuple(j)
+    if len(i) != len(j):
+        raise DomainError("words must have equal length")
+    if i == j:
+        raise DomainError("words must differ")
+    fi = f_point(ftree, i)
+    fj = f_point(ftree, j)
+    den = dist_max(pi_finite(ftree.params, i), pi_finite(ftree.params, j))
+    if den == 0:
+        raise DomainError("coincident corners")
+    meet = word_meet(i, j)
+    tmeet = tilde(ftree, meet)
+    scale = Fraction(ftree.params.m) ** (len(tmeet) - len(meet))
+    return dist_max(fi, fj) * scale / den

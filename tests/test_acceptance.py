@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_oracle import f_point, tilde
 
 from percoqs.analysis import (
     epsilon_table,
@@ -28,7 +29,7 @@ from percoqs.percolation import (
     subtree,
     truncate,
 )
-from percoqs.substitution import compute_flags, f_point, tilde
+from percoqs.substitution import compute_flags
 
 P7 = Params(m=3, d=2, p=0.7)
 

@@ -59,12 +59,18 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
     }
     bad_inputs = [["solve", "t", "--eta", "1,x"],
                   ["render", "--tree", str(good), "--levels", "1,a"],
+                  ["render", "--tree", str(good), "--px", "0"],
+                  ["render", "--tree", str(good), "--px", "-5"],
                   ["solve", "kappa", "--s", "-1"],
                   ["check", "martingale", "--depth", "2", "--trials", "0"],
                   ["check", "qs", "--depth", "3", "--trees", "1", "--trials", "0"],
                   ["check", "qs", "--depth", "3", "--trees", "0"],
                   ["check", "qs", "--depth", "3", "--trees", "-1"],
                   ["check", "dims", "--depth", "3", "--trials", "0"],
+                  ["check", "dims", "--depth", "3", "--grid-step", "0"],
+                  ["check", "dims", "--depth", "3", "--grid-step", "nan"],
+                  ["check", "dims", "--depth", "3", "--grid-lo", "nan"],
+                  ["check", "dims", "--depth", "3", "--grid-hi", "inf"],
                   ["check", "global", "--depth", "2", "--trials", "0"],
                   ["check", "global", "--depth", "2", "--trials", "1"]]
     for name, text in bad_files.items():

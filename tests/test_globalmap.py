@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_oracle import f_point
 
 from percoqs.errors import DomainError, PreconditionError
 from percoqs.globalmap import (
@@ -16,7 +17,7 @@ from percoqs.globalmap import (
 )
 from percoqs.lattice import Params, pi_finite
 from percoqs.percolation import sample_tree, tree_from_words
-from percoqs.substitution import compute_flags, f_point
+from percoqs.substitution import compute_flags
 
 P32 = Params(m=3, d=2, p=0.7)
 P42 = Params(m=4, d=2, p=0.7)

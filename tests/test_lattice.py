@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_oracle import dist_max, word_meet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,13 +17,11 @@ from percoqs.lattice import (
     boundary_label_count,
     corner_floats,
     default_eta,
-    dist_max,
     is_boundary_label,
     label_to_offset,
     offset_to_label,
     pi_finite,
     validate_word,
-    word_meet,
 )
 
 P32 = Params(m=3, d=2, p=0.7)

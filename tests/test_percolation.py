@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from exact_oracle import words
 
 from percoqs.errors import CapacityError, DomainError
 from percoqs.lattice import Params
@@ -97,7 +98,7 @@ def test_derive_seed_range_and_separation():
 def test_depth_zero_tree():
     t = sample_tree(P32, 0, 123)
     assert t.count(0) == 1 and t.depth == 0
-    assert t.words(0) == [()]
+    assert words(t, 0) == [()]
     assert t.nonextinct
 
 
@@ -117,9 +118,9 @@ def test_sampled_tree_structure():
         assert np.all(np.diff(lab)[same] > 0)
         assert par.min() >= 0 and par.max() < t.count(k - 1)
         assert 1 <= lab.min() and lab.max() <= 9
-    # words enumerates in sorted order and agrees with find/word_of
+    # the label matrix enumerates in sorted order and agrees with find/word_of
     for k in range(5):
-        ws = t.words(k)
+        ws = words(t, k)
         assert ws == sorted(ws)
         for i, w in enumerate(ws):
             assert t.find(w) == i
@@ -130,7 +131,7 @@ def test_every_sampled_node_matches_its_verdict():
     t = sample_tree(P32, 3, 99)
     # every live node survives, and every child it lacks dies
     for k in range(3):
-        for w in t.words(k):
+        for w in words(t, k):
             live = {j for j in range(1, 10) if node_survives(99, 0.7, w + (j,))}
             assert set(t.child_labels(k, t.find(w))) == live
 
@@ -212,15 +213,15 @@ def test_subtree_root_is_identity():
 
 def test_subtree_words_are_suffixes():
     t = sample_tree(P32, 4, 21)
-    w = t.words(1)[0]
+    w = words(t, 1)[0]
     s = subtree(t, w)
     assert s.depth == 3
     for k in range(4):
-        expected = sorted(u[len(w):] for u in t.words(k + len(w)) if u[: len(w)] == w)
-        assert s.words(k) == expected
+        expected = sorted(u[len(w):] for u in words(t, k + len(w)) if u[: len(w)] == w)
+        assert words(s, k) == expected
     dead = next(
         u + (j,)
-        for u in t.words(1)
+        for u in words(t, 1)
         for j in range(1, 10)
         if j not in t.child_labels(1, t.find(u))
     )
@@ -241,7 +242,7 @@ def test_subtree_law_matches_fresh_trees():
         seed += 1
         if t.count(1) == 0:
             continue
-        sub_counts.append(subtree(t, t.words(1)[0]).count(2))
+        sub_counts.append(subtree(t, words(t, 1)[0]).count(2))
     fresh_counts = [sample_tree(params, 2, 10**6 + s).count(2) for s in range(3000)]
     edges = [0, 16, 24, 32, 40, 48, 56, 64, 82]
     a = np.histogram(sub_counts, bins=edges)[0]
@@ -282,9 +283,9 @@ def test_tree_from_words_validation():
     with pytest.raises(DomainError):
         tree_from_words(P32, 1, [[(1,)], [(1, 1)]])  # bad level 0
     t = tree_from_words(P32, 2, [[()], [(9,), (3,)], [(3, 1), (9, 9)]])
-    assert t.words(1) == [(3,), (9,)]
+    assert words(t, 1) == [(3,), (9,)]
     assert t.child_labels(1, t.find((9,))) == (9,)
-    assert tree_from_json_dict(json.loads(t.to_canonical_bytes())).words(2) == [
+    assert words(tree_from_json_dict(json.loads(t.to_canonical_bytes())), 2) == [
         (3, 1),
         (9, 9),
     ]

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_oracle import comparability_ratio, dist_max, f_point, tilde, words
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _int_corners, _tilde_codes
 
 from percoqs.errors import DomainError, PreconditionError
-from percoqs.lattice import Params, dist_max, pi_finite
+from percoqs.lattice import Params, pi_finite
 from percoqs.percolation import (
     derive_seed,
     sample_nonextinct,
@@ -19,11 +20,9 @@ from percoqs.percolation import (
 )
 from percoqs.substitution import (
     compute_flags,
-    comparability_ratio,
-    f_point,
     image_cover,
     level_table,
-    tilde,
+    pair_ratios,
 )
 from percoqs.analysis import partition_sum
 
@@ -69,6 +68,20 @@ def test_flags_full_tree_all_false():
         assert (ft.tilde_lengths[k] == k).all()
 
 
+def test_all_boundary_dead_frequency():
+    # every node below the depth is flagged iff its nb boundary children
+    # all died, which independent siblings make a (1-p)^nb event
+    pr = Params(m=3, d=2, p=0.4)
+    q = (1.0 - pr.p) ** pr.n_boundary
+    nodes = flagged = 0
+    for i in range(40):
+        ft = compute_flags(sample_tree(pr, 7, derive_seed(0, "boundary-dead", i)))
+        nodes += sum(f.size for f in ft.flags)
+        flagged += sum(int(f.sum()) for f in ft.flags)
+    z = (flagged - nodes * q) / np.sqrt(nodes * q * (1.0 - q))
+    assert nodes > 100_000 and abs(z) <= 4.0, (nodes, flagged, z)
+
+
 def test_flags_need_child_level():
     with pytest.raises(PreconditionError):
         compute_flags(sample_tree(P32, 0, 0))
@@ -78,7 +91,7 @@ def test_tilde_lengths_match_tilde():
     tree = sample_tree(P32, 5, 3)
     ft = compute_flags(tree)
     for level in (2, 4, 5):
-        for i, w in enumerate(tree.words(level)):
+        for i, w in enumerate(words(tree, level)):
             assert ft.tilde_lengths[level][i] == len(tilde(ft, w))
 
 
@@ -144,7 +157,7 @@ def test_f_point_hand_values():
 
 def test_f_point_identity_without_flags():
     ft = compute_flags(sample_tree(P_NEAR_ONE, 3, 1))
-    for w in ft.tree.words(3)[:30]:
+    for w in words(ft.tree, 3)[:30]:
         assert f_point(ft, w) == pi_finite(P32, w)
 
 
@@ -162,11 +175,11 @@ def test_splitting_identity_on_sampled_tree():
     ft = compute_flags(tree)
     checked = 0
     for plen in (1, 2, 3):
-        for head in tree.words(plen)[:4]:
+        for head in words(tree, plen)[:4]:
             sub = compute_flags(subtree(tree, head))
             t_head = tilde(ft, head).labels
             for klen in range(0, 5 - plen + 1):
-                for tail in sub.tree.words(klen)[:6]:
+                for tail in words(sub.tree, klen)[:6]:
                     whole = tilde(ft, head + tail).labels
                     assert whole == t_head + tilde(sub, tail).labels
                     checked += 1
@@ -186,7 +199,7 @@ def test_injectivity_and_length_bounds():
         ft = compute_flags(tree)
         for level in (3, 5):
             seen = set()
-            for w in tree.words(level):
+            for w in words(tree, level):
                 tw = tilde(ft, w).labels
                 assert level <= len(tw) <= 2 * level
                 seen.add(tw)
@@ -310,17 +323,57 @@ def test_level_table_matches_one_word_paths(pr, depth):
         assert img.dtype == np.int64
 
 
-def test_level_table_object_numerators_past_int64():
-    # a single chain of interior cells flags every node, so level 7 rewrites
-    # to length 7 + 3 * 7 = 28 and 5^28 > 2^63 needs Python integers
+def _past_int64_tree():
+    """Interior cells only, so every node is flagged and level 7 rewrites
+    to length 7 + 3 * 7 = 28: 5^28 > 2^63 needs Python integers.  Past
+    level 3 each node keeps two children, so the 16 words of level 7 meet
+    at levels 3 to 6."""
     pr = Params(m=5, d=2, p=0.5, k=3, eta=(19, 2, 25))
     chain = (17, 18, 19, 20, 21, 22, 23)
-    tree = tree_from_words(pr, 7, [[chain[:k]] for k in range(8)])
-    ft = compute_flags(tree)
-    assert all(bool(f[0]) for f in ft.flags)
-    assert pr.m ** int(ft.tilde_lengths[7][0]) >= 2**63
+    levels = [[chain[:k]] for k in range(4)]
+    for k in range(4, 8):
+        levels.append([w + (lab,) for w in levels[-1] for lab in (chain[k - 1], 25)])
+    return compute_flags(tree_from_words(pr, 7, levels))
+
+
+def test_level_table_object_numerators_past_int64():
+    ft = _past_int64_tree()
+    assert all(f.all() for f in ft.flags)
+    assert ft.params.m ** int(ft.tilde_lengths[7][0]) >= 2**63
     img = _check_level_table(ft, with_codes=False)
     assert img.dtype == object
+
+
+def _check_pair_ratios(ft):
+    """pair_ratios against the one-word oracle on every distinct pair of
+    the top level, half of them in reverse order."""
+    ws = words(ft.tree, ft.depth)
+    pairs = [
+        (i, j) if (i + j) % 2 else (j, i)
+        for i in range(len(ws)) for j in range(i + 1, len(ws))
+    ]
+    got = pair_ratios(ft, ft.depth, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert all(type(r) is Fraction for r in got)
+    assert got == [comparability_ratio(ft, ws[i], ws[j]) for i, j in pairs]
+    return got
+
+
+@pytest.mark.parametrize("pr, depth", [
+    (Params(m=3, d=2, p=0.7), 2),
+    (Params(m=4, d=2, p=0.5, k=2, eta=(16, 13)), 2),
+    (Params(m=5, d=2, p=0.4), 2),
+    (Params(m=3, d=3, p=0.35), 2),
+    # a node is flagged with probability 1/4, so rewritten lengths differ
+    (Params(m=5, d=1, p=0.5, k=2), 4),
+], ids=["M3d2", "M4d2K2", "M5d2", "M3d3", "M5d1K2"])
+def test_pair_ratios_match_comparability_ratio(pr, depth):
+    tree, _ = sample_nonextinct(pr, depth, derive_seed(0, "pair-ratios", depth))
+    assert len(_check_pair_ratios(compute_flags(tree))) >= 2
+
+
+def test_pair_ratios_past_int64():
+    got = _check_pair_ratios(_past_int64_tree())
+    assert len(got) == 16 * 15 // 2
 
 
 # --- comparability -----------------------------------------------------------
@@ -328,9 +381,9 @@ def test_level_table_object_numerators_past_int64():
 
 def test_comparability_identity_without_flags():
     ft = compute_flags(sample_tree(P_NEAR_ONE, 3, 4))
-    words = ft.tree.words(3)
-    assert comparability_ratio(ft, words[0], words[5]) == 1
-    assert comparability_ratio(ft, words[2], words[2][:2] + words[3][2:]) == 1
+    ws = words(ft.tree, 3)
+    assert comparability_ratio(ft, ws[0], ws[5]) == 1
+    assert comparability_ratio(ft, ws[2], ws[2][:2] + ws[3][2:]) == 1
 
 
 def test_comparability_flagged_parent_siblings():
@@ -351,17 +404,19 @@ def test_comparability_rejects_degenerate_input():
         comparability_ratio(ft, (9,), (9, 9))
     with pytest.raises(DomainError):
         comparability_ratio(ft, (9,), (9,))
+    with pytest.raises(DomainError, match="distinct"):
+        pair_ratios(ft, 1, [[0, 1], [1, 1]])
 
 
 def test_comparability_bracket_small_tree():
     pr = Params(m=3, d=2, p=0.5)
     tree = sample_tree(pr, 4, 23)
     ft = compute_flags(tree)
-    words = tree.words(4)
-    assert len(words) >= 2
+    ws = words(tree, 4)
+    assert len(ws) >= 2
     lo, hi = Fraction(3) ** -4, Fraction(3) ** 4
-    for i in range(0, len(words) - 1, 2):
-        r = comparability_ratio(ft, words[i], words[i + 1])
+    for i in range(0, len(ws) - 1, 2):
+        r = comparability_ratio(ft, ws[i], ws[i + 1])
         assert lo <= r <= hi
 
 
