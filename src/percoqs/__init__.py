@@ -12,7 +12,6 @@ from .lattice import (
     Box,
     ExactPoint,
     Params,
-    box_of_word,
     corner_floats,
     default_eta,
     is_boundary_label,
@@ -41,7 +40,7 @@ from .substitution import (
     level_table,
     pair_ratios,
 )
-from .globalmap import GeomConfig, f_global, g, g_batch, madic_address
+from .globalmap import GeomConfig, f_global, g, g_batch
 from .analysis import (
     DimFit,
     DimReport,
@@ -80,7 +79,6 @@ __all__ = [
     "PercTree",
     "PreconditionError",
     "QsScan",
-    "box_of_word",
     "compute_flags",
     "corner_floats",
     "default_eta",
@@ -97,7 +95,6 @@ __all__ = [
     "label_to_offset",
     "level1_oracle",
     "level_table",
-    "madic_address",
     "martingale_check",
     "node_survives",
     "offset_to_label",

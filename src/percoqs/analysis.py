@@ -677,10 +677,23 @@ def qs_ratio_scan(
     )
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def report_json_bytes(command: str, config: dict, results: dict, passed=None) -> bytes:
     """Canonical percoqs-report/2 bytes; every report embeds the
     resolved configuration it ran (seeds included), so identical runs are
-    byte-identical.  /2 names the hierarchical SplitMix64 sampling rule."""
+    byte-identical.  /2 names the hierarchical SplitMix64 sampling rule.
+    Non-finite floats (NaN, infinities) are written as null, so the bytes
+    are strict JSON."""
     obj = {
         "format": "percoqs-report/2",
         "command": command,
@@ -689,4 +702,5 @@ def report_json_bytes(command: str, config: dict, results: dict, passed=None) ->
     }
     if passed is not None:
         obj["pass"] = bool(passed)
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("ascii")
+    text = json.dumps(_finite_or_null(obj), separators=(",", ":"), allow_nan=False)
+    return (text + "\n").encode("ascii")

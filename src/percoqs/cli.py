@@ -85,15 +85,18 @@ def _params(args) -> Params:
 def _node_budget(args) -> int:
     env = os.environ.get("PERCOQS_NODE_BUDGET")
     if env is not None:
+        source = "PERCOQS_NODE_BUDGET"
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
-            raise DomainError(
-                f"PERCOQS_NODE_BUDGET must be an integer, got {env!r}"
-            ) from None
-    if args.node_budget is not None:
-        return args.node_budget
-    return DEFAULT_NODE_BUDGET
+            raise DomainError(f"{source} must be an integer, got {env!r}") from None
+    elif args.node_budget is not None:
+        source, budget = "--node-budget", args.node_budget
+    else:
+        return DEFAULT_NODE_BUDGET
+    if budget < 1:
+        raise DomainError(f"{source} must be >= 1, got {budget}")
+    return budget
 
 
 def _config_dict(params: Params, args, **extra) -> dict:
@@ -342,6 +345,7 @@ def cmd_check_qs(args) -> int:
     budget = _node_budget(args)
     c_emp = 0.0
     rmin, rmax = math.inf, -math.inf
+    usable = 0
     per_tree = []
     for i in range(trees):
         tree, _ = percolation.sample_nonextinct(
@@ -353,11 +357,17 @@ def cmd_check_qs(args) -> int:
             ftree, args.depth, triples, derive_seed(args.seed, "qs-scan", i)
         )
         per_tree.append(scan.to_json_dict())
+        usable += scan.triples - scan.degenerate - scan.coincident
         c_emp = max(c_emp, scan.c_emp)
         rmin = min(rmin, scan.pair_ratio_min)
         rmax = max(rmax, scan.pair_ratio_max)
     bound = float(params.m ** (params.k + 3))
-    passed = c_emp <= bound
+    passed = usable > 0 and c_emp <= bound
+    lines = [f"three-point control constant C_emp={c_emp:.4f} "
+             f"(bound {bound:.0f}) {'PASS' if passed else 'FAIL'}"]
+    if usable == 0:
+        lines.insert(0, "every sampled triple repeats its first corner, so C_emp "
+                        "measures nothing")
     return _finish_check(
         args,
         "check qs",
@@ -365,8 +375,7 @@ def cmd_check_qs(args) -> int:
         {"c_emp": c_emp, "bound": bound, "pair_ratio_min": rmin,
          "pair_ratio_max": rmax, "per_tree": per_tree},
         passed,
-        [f"three-point control constant C_emp={c_emp:.4f} "
-         f"(bound {bound:.0f}) {'PASS' if passed else 'FAIL'}"],
+        lines,
     )
 
 
@@ -470,9 +479,8 @@ def cmd_check_global(args) -> int:
         src, img = substitution.level_table(ftree, level, idx)
         us = corner_floats(params.m, src, level)
         fws = corner_floats(params.m, img, ftree.tilde_lengths[level][idx])
-        for u, fw in zip(us, fws):
-            fu = globalmap.f_global(ftree, u, level)
-            worst = max(worst, float(np.max(np.abs(fu - fw))))
+        fus = globalmap.f_global(ftree, us, level)
+        worst = max(worst, float(np.max(np.abs(fus - fws))))
     results["corner_agreement_max"] = worst
     ok &= worst <= 1e-9
 

@@ -8,33 +8,30 @@ the segment from its radial boundary projection x to the core point
 ghat(x), and its image moves to the matching parameter on the segment
 from x to (gtilde . ghat)(x).
 
-The extension f_global follows a float point's base-M address into the
-sampled tree: while the address survives it inherits the corner map's
-rewriting; at the first dead letter the remaining address either lands
-next to a surviving boundary cell (pure rescale) or in a fully
-boundary-dead cell, where one localized copy of g absorbs it.
+The extension f_global maps an (n, d) array of float points and follows
+each point's base-M address into the sampled tree: while the address
+survives it inherits the corner map's rewriting; at the first dead
+letter the remaining address either lands next to a surviving boundary
+cell (pure rescale) or in a fully boundary-dead cell, where one
+localized copy of g absorbs it.  Addresses are exact integers read from
+each float's integer ratio, the longest surviving prefixes come from one
+sorted lookup per level, and their rewritten corners from level_table.
 
 Floats are binary64; the unit-cube check uses a 1e-12 tolerance, and
 points lying exactly on the cube boundary short-circuit to the identity
-so the boundary is fixed exactly.
+so the boundary is fixed exactly.  Off the g branch every output
+coordinate is the exact image rounded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import ceil
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .lattice import (
-    Params,
-    Word,
-    box_of_word,
-    offset_to_label,
-    pi_finite,
-)
+from .lattice import Params, label_to_offset, pi_finite
+from .percolation import _find_sorted
 from .substitution import FlaggedTree, level_table
 
 _EDGE_TOL = 1e-12
@@ -57,18 +54,14 @@ class GeomConfig:
 
     def __post_init__(self) -> None:
         pr = self.params
-        eta_box = box_of_word(pr, pr.eta)
-        side = eta_box.side()
-        one_m = Fraction(1, pr.m)
-        for c in eta_box.corner.as_fractions():
-            if c < one_m or c + side > 1 - one_m:
-                raise DomainError("insertion cube must keep distance 1/M from the boundary")
+        den = pr.m**pr.k  # Q_eta is the cell of eta: corner numerators over M^K
+        nums = pi_finite(pr, pr.eta).nums_at_level(pr.k)
         object.__setattr__(self, "core_ratio", 1.0 - 2.0 / pr.m)
         object.__setattr__(self, "inner_half", 0.5 * (1.0 - 2.0 / pr.m))
         object.__setattr__(
-            self, "eta_corner", np.array(eta_box.corner.to_floats(), dtype=np.float64)
+            self, "eta_corner", np.array([c / den for c in nums], dtype=np.float64)
         )
-        object.__setattr__(self, "eta_scale", float(side))
+        object.__setattr__(self, "eta_scale", 1 / den)
 
 
 def _check_unit_cube(U: np.ndarray, tol: float) -> np.ndarray:
@@ -108,91 +101,79 @@ def g(cfg: GeomConfig, u) -> np.ndarray:
     return g_batch(cfg, np.asarray(u, dtype=np.float64)[None, :])[0]
 
 
-def madic_address(
-    params: Params, point, digits: int
-) -> tuple[Word, tuple[Fraction, ...]]:
-    """Base-M address of a point to a fixed number of digits, plus the
-    exact residual inside the last cell.
+def f_global(ftree: FlaggedTree, points, resolution: int) -> np.ndarray:
+    """Extension of the corner map to an (n, d) array of float points, at
+    a finite address resolution.
 
-    Points on a grid face belong to two cells; the tie resolves toward
-    the smaller offset, which leaves a residual coordinate of exactly 1.
-    Accepts floats (converted exactly) or Fractions.
-    """
-    if digits < 0:
-        raise DomainError(f"digits must be >= 0, got {digits}")
-    v = [Fraction(c) for c in point]
-    if any(c < 0 or c > 1 for c in v):
-        raise DomainError("point outside [0,1]^d")
-    word = []
-    m = params.m
-    for _ in range(digits):
-        offs = []
-        for k in range(params.d):
-            scaled = v[k] * m
-            dig = max(0, ceil(scaled) - 1)
-            offs.append(dig)
-            v[k] = scaled - dig
-        word.append(offset_to_label(params, tuple(offs)))
-    return tuple(word), tuple(v)
-
-
-def f_global(ftree: FlaggedTree, u, resolution: int) -> np.ndarray:
-    """Extension of the corner map to any float point, at a finite
-    address resolution.
-
-    The point's address is followed while it survives in the tree.  If
-    it survives all the way, the image is the rewritten prefix's cell
-    offset plus the raw residual rescaled (the point is indistinguishable
-    from the limit set at this resolution).  Past the first dead letter,
-    the dead tail is appended un-rewritten; when additionally every
-    boundary child of the last surviving prefix died, the localized g on
-    the rewritten prefix's cell absorbs the whole remainder.
+    A point's address is followed while it survives in the tree.  If it
+    survives all the way, the image is the rewritten prefix's cell offset
+    plus the raw residual rescaled (the point is indistinguishable from
+    the limit set at this resolution).  Past the first dead letter, the
+    dead tail is appended un-rewritten; when additionally every boundary
+    child of the last surviving prefix died, the localized g on the
+    rewritten prefix's cell absorbs the whole remainder.
     """
     if not (1 <= resolution <= ftree.depth):
         raise PreconditionError(
             f"resolution {resolution} outside 1..depth={ftree.depth}"
         )
     params = ftree.params
-    uu = np.asarray(u, dtype=np.float64)
-    if uu.shape != (params.d,):
-        raise DomainError(f"expected shape ({params.d},), got {uu.shape}")
-    uu = _check_unit_cube(uu, _EDGE_TOL)
-    if np.any((uu == 0.0) | (uu == 1.0)):
-        return uu.copy()  # boundary fixed exactly, by branch
+    m, d = params.m, params.d
+    U = np.asarray(points, dtype=np.float64)
+    if U.ndim != 2 or U.shape[1] != d:
+        raise DomainError(f"expected shape (n, {d}), got {U.shape}")
+    U = _check_unit_cube(U, _EDGE_TOL)
+    out = U.copy()  # rows on the boundary are fixed exactly, by branch
+    rows = np.flatnonzero(~np.any((U == 0.0) | (U == 1.0), axis=1))
 
-    word, residual = madic_address(params, uu, resolution)
-    # longest surviving prefix of the address, capped at the resolution
-    n = 0
-    idx = 0
-    for lab in word:
-        nxt = ftree.tree.child_index(n, idx, lab)
-        if nxt is None:
-            break
-        n += 1
-        idx = nxt
+    # u = a/b exactly, and N = ceil(u M^res) - 1 is the address as one
+    # base-M integer; a point on a grid face goes to the smaller offset
+    ab = np.array(
+        [c.as_integer_ratio() for c in U[rows].ravel().tolist()], dtype=object
+    ).reshape(-1, d, 2)
+    a, b = ab[..., 0], ab[..., 1]
+    top = m**resolution
+    N = (a * top - 1) // b
 
-    # the rewritten prefix's cell: corner numerators over M^t, side M^-t
-    t = int(ftree.tilde_lengths[n][idx])
-    scale = Fraction(1, params.m**t)
-    base = tuple(c * scale for c in level_table(ftree, n, [idx])[1][0].tolist())
-    tail = word[n:]
-    tail_corner = pi_finite(params, tail).as_fractions()
-    tail_scale = Fraction(1, params.m ** len(tail))
-    z = tuple(c + tail_scale * r for c, r in zip(tail_corner, residual))
+    # longest surviving prefix: its length n and node idx, found by one
+    # lookup per level in the sorted (parent, label) codes
+    tree = ftree.tree
+    label_of = np.zeros(m**d, dtype=np.int64)
+    for lab in range(1, params.alphabet_size + 1):
+        label_of[np.ravel_multi_index(label_to_offset(params, lab), (m,) * d)] = lab
+    base = params.alphabet_size + 1
+    cur = np.zeros(rows.size, dtype=np.int64)
+    n = np.zeros(rows.size, dtype=np.int64)
+    idx = np.zeros(rows.size, dtype=np.int64)
+    for k in range(1, resolution + 1):
+        digits = ((N // m ** (resolution - k)) % m).astype(np.int64)
+        lab = label_of[np.ravel_multi_index(tuple(digits.T), (m,) * d)]
+        # -1 marks a dead prefix; the negative codes it makes never match
+        codes = tree.parents[k].astype(np.int64) * base + tree.labels[k]
+        cur = _find_sorted(codes, cur * base + lab)
+        hit = cur >= 0
+        n[hit] = k
+        idx[hit] = cur[hit]
 
-    if n < resolution:
-        nb = params.n_boundary
-        lo, hi = ftree.tree.child_range(n, idx)
-        child_labels = ftree.tree.labels[n + 1][lo:hi]
-        boundary_child_alive = bool(np.any(child_labels <= nb))
-    else:
-        boundary_child_alive = True  # full survival: pure rescale branch
+    # the rewritten prefix's cell: corner numerators img over M^t
+    img = np.zeros((rows.size, d), dtype=object)
+    t = np.zeros(rows.size, dtype=np.int64)
+    absorb = np.zeros(rows.size, dtype=bool)
+    for level in np.unique(n).tolist():
+        sel = np.flatnonzero(n == level)
+        img[sel] = level_table(ftree, level, idx[sel])[1]
+        t[sel] = ftree.tilde_lengths[level][idx[sel]]
+        if level < resolution:  # full survival is a pure rescale
+            absorb[sel] = ftree.flags[level][idx[sel]]
 
-    if boundary_child_alive:
-        return np.array(
-            [float(b + scale * zk) for b, zk in zip(base, z)], dtype=np.float64
-        )
-    cfg = GeomConfig(params)
-    gz = g(cfg, np.array([float(zk) for zk in z], dtype=np.float64))
-    basef = np.array([float(b) for b in base], dtype=np.float64)
-    return basef + float(scale) * gz
+    mn = (m ** n.astype(object))[:, None]
+    mt = (m ** t.astype(object))[:, None]
+    P = N // (top // mn)  # the prefix cell's corner over M^n
+    # img/M^t + (u M^n - P)/M^t, one int/int quotient: correctly rounded
+    out[rows] = (((img - P) * b + a * mn) / (mt * b)).astype(np.float64)
+    if absorb.any():
+        z = ((a * mn - P * b) / b)[absorb].astype(np.float64)
+        corner = (img / mt)[absorb].astype(np.float64)
+        scale = (1 / mt)[absorb].astype(np.float64)
+        out[rows[absorb]] = corner + scale * g_batch(GeomConfig(params), z)
+    return out

@@ -252,8 +252,3 @@ class Box:
 
     def to_json_dict(self) -> dict:
         return {"level": self.level, "corner": self.corner.to_json_dict()}
-
-
-def box_of_word(params: Params, word: Word) -> Box:
-    """The subcube addressed by a word."""
-    return Box(pi_finite(params, word), len(word))

@@ -1,19 +1,32 @@
 """One-word exact geometry: the independent oracle of the level tables.
 
 The package computes corners, rewritten corners and pair distortions a
-whole level at a time (substitution.level_table and pair_ratios).  The
-functions here take one word at a time: they walk its prefixes with
-child_index, build the rewritten word letter by letter and measure
-distances in Fractions, so the tests can compare the two paths.
+whole level at a time (substitution.level_table and pair_ratios), and
+the global map a whole point array at a time (globalmap.f_global).  The
+functions here take one word or one point at a time: they walk its
+prefixes with child_index, build the rewritten word letter by letter and
+measure distances in Fractions, so the tests can compare the two paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
+
+import numpy as np
 
 from percoqs.errors import DomainError, PreconditionError
-from percoqs.lattice import ExactPoint, Word, pi_finite, validate_word
+from percoqs.globalmap import GeomConfig, g
+from percoqs.lattice import (
+    Box,
+    ExactPoint,
+    Params,
+    Word,
+    offset_to_label,
+    pi_finite,
+    validate_word,
+)
 from percoqs.substitution import FlaggedTree
 
 
@@ -30,6 +43,11 @@ def word_meet(i: Word, j: Word) -> Word:
             break
         n += 1
     return tuple(i[:n])
+
+
+def box_of_word(params: Params, word: Word) -> Box:
+    """The subcube addressed by a word."""
+    return Box(pi_finite(params, word), len(word))
 
 
 def dist_max(x: ExactPoint, y: ExactPoint) -> Fraction:
@@ -129,3 +147,88 @@ def comparability_ratio(ftree: FlaggedTree, i: Word, j: Word) -> Fraction:
     tmeet = tilde(ftree, meet)
     scale = Fraction(ftree.params.m) ** (len(tmeet) - len(meet))
     return dist_max(fi, fj) * scale / den
+
+
+def madic_address(
+    params: Params, point, digits: int
+) -> tuple[Word, tuple[Fraction, ...]]:
+    """Base-M address of a point to a fixed number of digits, plus the
+    exact residual inside the last cell.
+
+    Points on a grid face belong to two cells; the tie resolves toward
+    the smaller offset, which leaves a residual coordinate of exactly 1.
+    Accepts floats (converted exactly) or Fractions.
+    """
+    if digits < 0:
+        raise DomainError(f"digits must be >= 0, got {digits}")
+    v = [Fraction(c) for c in point]
+    if any(c < 0 or c > 1 for c in v):
+        raise DomainError("point outside [0,1]^d")
+    word = []
+    m = params.m
+    for _ in range(digits):
+        offs = []
+        for k in range(params.d):
+            scaled = v[k] * m
+            dig = max(0, ceil(scaled) - 1)
+            offs.append(dig)
+            v[k] = scaled - dig
+        word.append(offset_to_label(params, tuple(offs)))
+    return tuple(word), tuple(v)
+
+
+def f_global(ftree: FlaggedTree, u, resolution: int) -> np.ndarray:
+    """The global map at one point (shape (d,)), in Fractions.
+
+    Follows the point's address while it survives; the rewritten
+    prefix's cell takes the remainder, rescaled, or through g when every
+    boundary child of the last surviving prefix died.
+    """
+    if not (1 <= resolution <= ftree.depth):
+        raise PreconditionError(
+            f"resolution {resolution} outside 1..depth={ftree.depth}"
+        )
+    params = ftree.params
+    uu = np.asarray(u, dtype=np.float64)
+    if uu.shape != (params.d,):
+        raise DomainError(f"expected shape ({params.d},), got {uu.shape}")
+    if np.any(uu < -1e-12) or np.any(uu > 1.0 + 1e-12):
+        raise DomainError("point outside [0,1]^d beyond tolerance")
+    uu = np.clip(uu, 0.0, 1.0)
+    if np.any((uu == 0.0) | (uu == 1.0)):
+        return uu.copy()  # boundary fixed exactly, by branch
+
+    word, residual = madic_address(params, uu, resolution)
+    # longest surviving prefix of the address, capped at the resolution
+    n = 0
+    idx = 0
+    for lab in word:
+        nxt = ftree.tree.child_index(n, idx, lab)
+        if nxt is None:
+            break
+        n += 1
+        idx = nxt
+
+    tw = tilde(ftree, word[:n])
+    base = pi_finite(params, tw.labels).as_fractions()
+    scale = Fraction(1, params.m ** len(tw))
+    tail = word[n:]
+    tail_corner = pi_finite(params, tail).as_fractions()
+    tail_scale = Fraction(1, params.m ** len(tail))
+    z = tuple(c + tail_scale * r for c, r in zip(tail_corner, residual))
+
+    if n < resolution:
+        nb = params.n_boundary
+        child_labels = ftree.tree.child_labels(n, idx)
+        boundary_child_alive = any(lab <= nb for lab in child_labels)
+    else:
+        boundary_child_alive = True  # full survival: pure rescale branch
+
+    if boundary_child_alive:
+        return np.array(
+            [float(b + scale * zk) for b, zk in zip(base, z)], dtype=np.float64
+        )
+    cfg = GeomConfig(params)
+    gz = g(cfg, np.array([float(zk) for zk in z], dtype=np.float64))
+    basef = np.array([float(b) for b in base], dtype=np.float64)
+    return basef + float(scale) * gz

@@ -313,17 +313,15 @@ def test_criterion_09_global_map():
     for i in range(20):
         tree, _ = sample_nonextinct(P7, 4, derive_seed(0, "acceptance-global", i))
         ftree = compute_flags(tree)
-        for u in edges:
-            f_exact &= np.array_equal(f_global(ftree, u, 4), u)
+        f_exact &= np.array_equal(f_global(ftree, edges, 4), edges)
         for level in range(1, 5):
             count = tree.count(level)
-            for j in rng.integers(0, count, size=min(50, count)):
-                w = tree.word_of(level, int(j))
-                u = np.array(pi_finite(P7, w).to_floats())
-                diff = f_global(ftree, u, level) - np.array(
-                    f_point(ftree, w).to_floats()
-                )
-                corner_err = max(corner_err, float(np.abs(diff).max()))
+            words = [tree.word_of(level, int(j))
+                     for j in rng.integers(0, count, size=min(50, count))]
+            us = np.array([pi_finite(P7, w).to_floats() for w in words])
+            want = np.array([f_point(ftree, w).to_floats() for w in words])
+            diff = f_global(ftree, us, level) - want
+            corner_err = max(corner_err, float(np.abs(diff).max()))
     ok = (g_exact and f_exact and branch_err <= 1e-12
           and bracket <= 27.0 and corner_err <= 1e-9)
     _line(9, "global map",

@@ -403,3 +403,5 @@ def test_report_json_bytes_shape():
     assert obj["pass"] is True
     assert b" " not in raw.strip()  # compact separators
     assert "pass" not in json.loads(report_json_bytes("x", {}, {}))
+    raw = report_json_bytes("x", {}, {"a": math.nan, "b": [-math.inf, (1.5, math.inf)]})
+    assert raw.endswith(b'"results":{"a":null,"b":[null,[1.5,null]]}}\n')

@@ -72,7 +72,9 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
                   ["check", "dims", "--depth", "3", "--grid-lo", "nan"],
                   ["check", "dims", "--depth", "3", "--grid-hi", "inf"],
                   ["check", "global", "--depth", "2", "--trials", "0"],
-                  ["check", "global", "--depth", "2", "--trials", "1"]]
+                  ["check", "global", "--depth", "2", "--trials", "1"],
+                  ["sample", "--depth", "1", "--node-budget", "0"],
+                  ["sample", "--depth", "1", "--node-budget", "-1"]]
     for name, text in bad_files.items():
         (tmp_path / name).write_text(text)
         bad_inputs.append(["render", "--tree", str(tmp_path / name), "--levels", "1"])
@@ -80,9 +82,11 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         assert main(argv) == EXIT_USAGE, argv
         err = capsys.readouterr().err
         assert err.startswith("percoqs: parameter error: ") and err.count("\n") == 1
-    monkeypatch.setenv("PERCOQS_NODE_BUDGET", "abc")
-    assert main(["sample", "--depth", "1"]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("percoqs: parameter error: ")
+    for env in ("abc", "-1"):
+        monkeypatch.setenv("PERCOQS_NODE_BUDGET", env)
+        assert main(["sample", "--depth", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("percoqs: parameter error: ") and err.count("\n") == 1
 
 
 def test_help_exits_0(capsys):
@@ -329,6 +333,36 @@ def test_check_dims_fails_without_insertions(tmp_path, capsys):
     assert "t_hat < s_hat: FAIL" in out
     obj = json.loads(report.read_bytes())
     assert obj["results"]["insertions"] == 0 and obj["pass"] is False
+
+
+def test_check_qs_fails_without_usable_triple(tmp_path, capsys):
+    # the one sampled triple repeats its first corner, so no ratio is
+    # measured and C_emp = 0 would pass vacuously
+    report = tmp_path / "qs.json"
+    argv = ["check", "qs", "--p", "0.4", "--depth", "2", "--trees", "1",
+            "--trials", "1", "--seed", "6", "--out", str(report)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "every sampled triple repeats its first corner" in out
+    obj = json.loads(report.read_bytes())
+    assert obj["results"]["per_tree"][0]["degenerate"] == 1 and obj["pass"] is False
+
+
+def test_reports_are_strict_json(tmp_path, capsys):
+    # NaN and infinities are not JSON; reports write them as null
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    solve = tmp_path / "t.json"
+    assert main(["solve", "t", "--p", "0.05", "-o", str(solve)]) == EXIT_OK
+    qs = tmp_path / "qs.json"
+    assert main(["check", "qs", "--p", "0.4", "--depth", "2", "--trees", "1",
+                 "--trials", "1", "--seed", "6", "-o", str(qs)]) == EXIT_CHECK_FAILED
+    capsys.readouterr()
+    results = json.loads(solve.read_bytes(), parse_constant=reject)["results"]
+    assert results["t_upper"] is None and results["gap"] is None
+    results = json.loads(qs.read_bytes(), parse_constant=reject)["results"]
+    assert results["pair_ratio_min"] is None and results["pair_ratio_max"] is None
 
 
 def test_check_global_runs(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Global extension: the core homeomorphism g and the address-following
-float map, cross-checked against the exact corner map."""
+float map, cross-checked against the exact corner map and against the
+one-point Fraction path of the oracle."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracle import f_point
+from exact_oracle import f_global as f_global_point, f_point, madic_address
 
 from percoqs.errors import DomainError, PreconditionError
 from percoqs.globalmap import (
@@ -13,10 +14,9 @@ from percoqs.globalmap import (
     f_global,
     g,
     g_batch,
-    madic_address,
 )
-from percoqs.lattice import Params, pi_finite
-from percoqs.percolation import sample_tree, tree_from_words
+from percoqs.lattice import Params, offset_to_label, pi_finite
+from percoqs.percolation import sample_nonextinct, sample_tree, tree_from_words
 from percoqs.substitution import compute_flags
 
 P32 = Params(m=3, d=2, p=0.7)
@@ -183,15 +183,19 @@ def test_madic_address_reconstructs_exactly():
 def test_f_global_resolution_bounds():
     ft = compute_flags(sample_tree(P32, 3, 0))
     with pytest.raises(PreconditionError):
-        f_global(ft, np.array([0.5, 0.5]), 0)
+        f_global(ft, np.array([[0.5, 0.5]]), 0)
     with pytest.raises(PreconditionError):
-        f_global(ft, np.array([0.5, 0.5]), 4)
+        f_global(ft, np.array([[0.5, 0.5]]), 4)
+    with pytest.raises(DomainError):
+        f_global(ft, np.array([0.5, 0.5]), 3)  # one point is a (1, d) array
+    with pytest.raises(DomainError):
+        f_global(ft, np.array([[0.5, 1.1]]), 3)
 
 
 def test_f_global_boundary_identity_exact():
     ft = compute_flags(sample_tree(P32, 3, 2))
     for u in ([0.0, 0.37], [1.0, 0.62], [0.25, 1.0], [0.8, 0.0], [1.0, 1.0]):
-        uu = np.array(u)
+        uu = np.array([u])
         assert np.array_equal(f_global(ft, uu, 3), uu)
 
 
@@ -199,7 +203,7 @@ def test_f_global_identity_near_p_one():
     ft = compute_flags(sample_tree(P_NEAR_ONE, 3, 3))
     rng = np.random.default_rng(8)
     for u in rng.random((50, 2)):
-        assert np.array_equal(f_global(ft, u, 3), u)
+        assert np.array_equal(f_global(ft, u[None, :], 3), u[None, :])
 
 
 def test_f_global_matches_f_point_on_corners():
@@ -212,7 +216,65 @@ def test_f_global_matches_f_point_on_corners():
             w = tree.word_of(level, int(i))
             u = np.array(pi_finite(P32, w).to_floats())
             expect = np.array(f_point(ft, w).to_floats())
-            assert np.array_equal(f_global(ft, u, level), expect)
+            assert np.array_equal(f_global(ft, u[None, :], level)[0], expect)
+
+
+ORACLE_PARAMS = (
+    Params(m=3, d=2, p=0.4),
+    Params(m=4, d=2, p=0.4, k=2, eta=(16, 13)),
+    Params(m=3, d=3, p=0.3),
+    Params(m=5, d=2, p=0.3),
+)
+
+
+def _oracle_trees(params):
+    """Two sampled depth-4 trees, plus hand trees whose flagged nodes send
+    points through g: a root whose only child is the interior cell
+    eta[0] and, at M=3, d=2, the trees of the test_f_global_flagged_*
+    tests."""
+    trees = [sample_nonextinct(params, 4, seed)[0] for seed in (0, 1)]
+    trees.append(tree_from_words(params, 1, [[()], [(params.eta[0],)]]))
+    if params == P32:
+        trees.append(tree_from_words(P32, 2, [[()], [(9,), (3,)], [(9, 9)]]))
+    return [compute_flags(t) for t in trees]
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda p: f"M{p.m}d{p.d}K{p.k}")
+def test_f_global_matches_oracle_bit_for_bit(params):
+    rng = np.random.default_rng(13)
+    d = params.d
+    for ft in _oracle_trees(params):
+        for res in range(1, ft.depth + 1):
+            pts = [rng.random((60, d))]
+            if params.m % 2 == 0:
+                # k / M^res is a double on a grid face only for even M:
+                # these rows take the tie rule, some in every coordinate
+                grid = rng.integers(1, params.m**res, size=(60, d)) / params.m**res
+                mixed = np.where(rng.random((60, d)) < 0.5, grid, rng.random((60, d)))
+                pts += [grid, mixed]
+            edge = rng.random((6, d))
+            edge[np.arange(6), rng.integers(0, d, 6)] = [0.0, 1.0, 0.0, 1.0, -1e-13, 1 + 1e-13]
+            pts.append(edge)
+            pts = np.concatenate(pts)
+            want = np.array([f_global_point(ft, u, res) for u in pts])
+            assert np.array_equal(f_global(ft, pts, res), want), (res, ft.tree.seed)
+        assert f_global(ft, np.empty((0, d)), 1).shape == (0, d)
+
+
+def test_f_global_tie_rule_matches_oracle():
+    # At M=4 the face rows above are exact in binary, so both cells of a
+    # tie give the same double.  At M=6 the face x=1/2 of the cell
+    # [1/3, 1/2]^2 parts that surviving cell (rescaled, rounded once) from
+    # a dead one (through g, rounded per operation), so a wrong tie rule
+    # changes the last bit of some rows whose y uses all 53 bits.
+    params = Params(m=6, d=2, p=0.5)
+    only = offset_to_label(params, (2, 2))
+    ft = compute_flags(tree_from_words(params, 1, [[()], [(only,)]]))
+    rng = np.random.default_rng(14)
+    face = np.column_stack([np.full(1000, 0.5), rng.uniform(1 / 3, 0.5, 1000)])
+    pts = np.concatenate([face, face[:, ::-1]])
+    want = np.array([f_global_point(ft, u, 1) for u in pts])
+    assert np.array_equal(f_global(ft, pts, 1), want)
 
 
 def test_f_global_dead_tail_pure_rescale():
@@ -220,7 +282,7 @@ def test_f_global_dead_tail_pure_rescale():
     t = tree_from_words(P32, 1, [[()], [(9,), (3,)]])
     ft = compute_flags(t)
     for u in ([0.1, 0.2], [0.9, 0.95], [0.77, 0.15]):
-        uu = np.array(u)
+        uu = np.array([u])
         assert np.allclose(f_global(ft, uu, 1), uu, atol=0)
 
 
@@ -232,7 +294,7 @@ def test_f_global_flagged_root_applies_g():
     rng = np.random.default_rng(10)
     for u in rng.random((40, 2)):
         uu = np.clip(u, 1e-6, 1 - 1e-6)
-        got = f_global(ft, uu, 1)
+        got = f_global(ft, uu[None, :], 1)[0]
         want = g(CFG3, uu)
         assert np.allclose(got, want, atol=1e-15)
 
@@ -251,7 +313,7 @@ def test_f_global_flagged_interior_node_localizes_g():
         u = corner + z / 3.0
         word, _ = madic_address(P32, u, 2)
         if word[0] != 9 or word[1] == 9:
-            got = f_global(ft, u, 2)
+            got = f_global(ft, u[None, :], 2)[0]
             if word[0] == 9:
                 want = corner + g(CFG3, (u - corner) * 3.0) / 3.0
                 assert np.allclose(got, want, atol=1e-12)

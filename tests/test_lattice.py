@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracle import dist_max, word_meet
+from exact_oracle import box_of_word, dist_max, word_meet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from percoqs.lattice import (
     Box,
     ExactPoint,
     Params,
-    box_of_word,
     boundary_label_count,
     corner_floats,
     default_eta,
