@@ -9,15 +9,12 @@ cross-checks for all of it.
 
 from .errors import CapacityError, DomainError, PreconditionError
 from .lattice import (
-    Box,
-    ExactPoint,
     Params,
     corner_floats,
     default_eta,
     is_boundary_label,
     label_to_offset,
     offset_to_label,
-    pi_finite,
     validate_label,
     validate_word,
 )
@@ -36,7 +33,6 @@ from .percolation import (
 from .substitution import (
     FlaggedTree,
     compute_flags,
-    image_cover,
     level_table,
     pair_ratios,
 )
@@ -64,13 +60,11 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
     "CapacityError",
     "DimFit",
     "DimReport",
     "DomainError",
     "EpsilonReport",
-    "ExactPoint",
     "FlaggedTree",
     "GeomConfig",
     "MartingaleReport",
@@ -88,7 +82,6 @@ __all__ = [
     "f_global",
     "g",
     "g_batch",
-    "image_cover",
     "is_boundary_label",
     "kappa",
     "kappa_prime",
@@ -100,7 +93,6 @@ __all__ = [
     "offset_to_label",
     "pair_ratios",
     "partition_sum",
-    "pi_finite",
     "qs_ratio_scan",
     "sample_nonextinct",
     "sample_tree",

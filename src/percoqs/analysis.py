@@ -275,8 +275,16 @@ def _one_generation(params: Params, s: float, k: int) -> tuple[np.ndarray, ...]:
     first case, rows i = 0..ni the second.
     """
     m, a, nb = float(params.m), params.alphabet_size, params.n_boundary
-    pb = _binomial_pmf(nb, params.p)
-    pi = _binomial_pmf(a - nb, params.p)
+    try:
+        pb = _binomial_pmf(nb, params.p)
+        pi = _binomial_pmf(a - nb, params.p)
+    except OverflowError:
+        # math.comb(n, j) past 1e308 does not convert to a float
+        raise DomainError(
+            f"the one-generation outcome table at M={params.m}, d={params.d} "
+            f"({a + (a - nb) + 1} rows, {nb} boundary cells) needs binomial "
+            "coefficients past the float range"
+        ) from None
     prob = np.concatenate([np.convolve(pb[1:], pi), pb[0] * pi])
     value = np.concatenate(
         [np.arange(1, a + 1) * m ** (-s), np.arange(a - nb + 1) * m ** (-s * (k + 1))]

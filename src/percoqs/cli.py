@@ -151,10 +151,26 @@ _SVG_FILL = "#30506d"
 _SVG_IMAGE_FILL = "#7d3c68"
 
 
+def _check_injective(lengths, img) -> None:
+    """Distinct survivors must rewrite to distinct image cells, i.e. to
+    distinct (rewritten length, corner numerators) rows; a repeat would
+    break the substitution's injectivity and raises."""
+    rows = np.column_stack([lengths, img])
+    rows = rows[np.lexsort(rows.T)]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
+        raise RuntimeError("image boxes collided; the substitution lost injectivity")
+
+
 def render_svg(tree, levels, image=False, px=220, gap=14) -> str:
     """One square panel per requested level; survivors (or their image
-    boxes) drawn as filled squares.  2-d trees only."""
+    boxes) drawn as filled squares.  2-d trees only.
+
+    Both panel kinds read level_table: a survivor's cell has corner src
+    over M^level, its image cell corner img over M^(rewritten length).
+    Image boxes are drawn sorted by corner, then side.
+    """
     params = tree.params
+    m = params.m
     if params.d != 2:
         raise DomainError(f"rendering is 2-d only, got d={params.d}")
     # a depth-0 tree has no flags; its only level, the root, needs none
@@ -174,23 +190,23 @@ def render_svg(tree, levels, image=False, px=220, gap=14) -> str:
             f'<rect x="{x0}" y="{y0}" width="{px}" height="{px}" '
             f'fill="none" stroke="#222" stroke-width="1"/>'
         )
-        if image:
-            boxes = substitution.image_cover(ftree, level)
-            rects = [
-                (box.corner.to_floats(), float(box.side())) for box in boxes
-            ]
-            rects.sort()
-            fill = _SVG_IMAGE_FILL
+        if ftree is None:
+            src = np.zeros((1, 2), dtype=np.int64)
         else:
-            nums = (
-                substitution.level_table(ftree, level)[0]
-                if ftree is not None
-                else np.zeros((tree.count(level), 2), dtype=np.int64)
-            )
-            side = params.m ** (-level)
-            rects = [(c, side) for c in corner_floats(params.m, nums, level)]
-            fill = _SVG_FILL
-        for (cx, cy), side in rects:
+            src, img = substitution.level_table(ftree, level)
+        if image:
+            nums, lengths, fill = img, ftree.tilde_lengths[level], _SVG_IMAGE_FILL
+            _check_injective(lengths, nums)
+            # a side 1/M^t is the corner of numerator 1, correctly rounded
+            ones = np.ones((nums.shape[0], 1), dtype=np.int64)
+            sides = corner_floats(m, ones, lengths)[:, 0]
+        else:
+            nums, lengths, fill = src, level, _SVG_FILL
+            sides = np.full(src.shape[0], m ** (-level))
+        rects = np.column_stack([corner_floats(m, nums, lengths), sides])
+        if image:
+            rects = rects[np.lexsort(rects.T[::-1])]
+        for cx, cy, side in rects.tolist():
             # SVG's y axis points down; flip so the origin is bottom-left
             parts.append(
                 f'<rect x="{x0 + cx * px:.4f}" y="{y0 + (1.0 - cy - side) * px:.4f}" '
@@ -427,6 +443,12 @@ def cmd_check_global(args) -> int:
         raise DomainError(
             f"the distortion bracket needs at least 2 pairs, got {n_pairs}"
         )
+    # sampled first, so parameters past the node budget stop before the
+    # geometry's M^d label table is built
+    tree, _ = percolation.sample_nonextinct(
+        params, args.depth, args.seed, node_budget=_node_budget(args)
+    )
+    ftree = substitution.compute_flags(tree)
     cfg = globalmap.GeomConfig(params)
     rng = np.random.default_rng(derive_seed(args.seed, "global"))
     results = {}
@@ -468,10 +490,6 @@ def cmd_check_global(args) -> int:
     ok &= bracket <= bound
 
     # extension agrees with the corner map on surviving corners
-    tree, _ = percolation.sample_nonextinct(
-        params, args.depth, args.seed, node_budget=_node_budget(args)
-    )
-    ftree = substitution.compute_flags(tree)
     worst = 0.0
     for level in range(1, args.depth + 1):
         count = tree.count(level)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .lattice import Params, label_to_offset, pi_finite
+from .lattice import Params, corner_nums, label_offsets
 from .percolation import _find_sorted
 from .substitution import FlaggedTree, level_table
 
@@ -55,7 +55,7 @@ class GeomConfig:
     def __post_init__(self) -> None:
         pr = self.params
         den = pr.m**pr.k  # Q_eta is the cell of eta: corner numerators over M^K
-        nums = pi_finite(pr, pr.eta).nums_at_level(pr.k)
+        nums = corner_nums(pr, pr.eta)
         object.__setattr__(self, "core_ratio", 1.0 - 2.0 / pr.m)
         object.__setattr__(self, "inner_half", 0.5 * (1.0 - 2.0 / pr.m))
         object.__setattr__(
@@ -138,9 +138,7 @@ def f_global(ftree: FlaggedTree, points, resolution: int) -> np.ndarray:
     # longest surviving prefix: its length n and node idx, found by one
     # lookup per level in the sorted (parent, label) codes
     tree = ftree.tree
-    label_of = np.zeros(m**d, dtype=np.int64)
-    for lab in range(1, params.alphabet_size + 1):
-        label_of[np.ravel_multi_index(label_to_offset(params, lab), (m,) * d)] = lab
+    label_of = label_offsets(m, d)[1]
     base = params.alphabet_size + 1
     cur = np.zeros(rows.size, dtype=np.int64)
     n = np.zeros(rows.size, dtype=np.int64)

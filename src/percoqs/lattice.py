@@ -2,18 +2,17 @@
 
 The unit cube [0,1]^d is subdivided into M^d closed congruent subcubes.
 Each subcube is addressed by a label in {1, ..., M^d}; labels are ordered
-so that the cells touching the boundary of the cube come first.  Words
-over the label alphabet address nested subcubes, and every finite word
-maps to the lower-left corner of its subcube.  All corner arithmetic is
+so that the cells touching the boundary of the cube come first, and one
+cached offset table per grid holds the label <-> offset map.  Words over
+the label alphabet address nested subcubes, and every finite word maps
+to the lower-left corner of its subcube.  All corner arithmetic is
 exact: a coordinate is an integer numerator over a power of M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -24,21 +23,23 @@ Offset = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _label_tables(m: int, d: int) -> tuple[tuple[Offset, ...], dict[Offset, int]]:
-    """Label -> offset table (index label-1) and its inverse for a grid.
+def label_offsets(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The label <-> offset map of a grid, as two read-only arrays.
 
+    offsets is (M^d, d): row label-1 is the cell's offset in {0..M-1}^d.
     Boundary offsets (some coordinate in {0, M-1}) come first in
     lexicographic order, then interior offsets in lexicographic order.
+    labels is (M^d,): the label of the offset whose lexicographic rank,
+    np.ravel_multi_index(offset, (M,) * d), is its index.
     """
-    boundary = []
-    interior = []
-    for off in product(range(m), repeat=d):
-        if any(c == 0 or c == m - 1 for c in off):
-            boundary.append(off)
-        else:
-            interior.append(off)
-    offsets = tuple(boundary + interior)
-    return offsets, {off: i + 1 for i, off in enumerate(offsets)}
+    grid = np.indices((m,) * d).reshape(d, -1).T
+    interior = ((grid > 0) & (grid < m - 1)).all(axis=1)
+    order = np.argsort(interior, kind="stable")
+    labels = np.empty(m**d, dtype=np.int64)
+    labels[order] = np.arange(1, m**d + 1)
+    offsets = grid[order]
+    offsets.flags.writeable = labels.flags.writeable = False
+    return offsets, labels
 
 
 def boundary_label_count(m: int, d: int) -> int:
@@ -47,10 +48,14 @@ def boundary_label_count(m: int, d: int) -> int:
 
 
 def default_eta(m: int, d: int, k: int = 1) -> Word:
-    """Default insertion word: the central interior cell, repeated K times."""
-    _, inv = _label_tables(m, d)
-    center = inv[(m // 2,) * d]
-    return (center,) * k
+    """Default insertion word: the central interior cell, repeated K times.
+
+    The centre (M//2, ..., M//2) is interior; its label is the boundary
+    count plus one plus its lexicographic rank among the (M-2)^d
+    interior offsets, whose coordinates run over 1..M-2.
+    """
+    rank = (m // 2 - 1) * sum((m - 2) ** i for i in range(d))
+    return (boundary_label_count(m, d) + 1 + rank,) * k
 
 
 @dataclass(frozen=True)
@@ -118,16 +123,25 @@ def validate_word(params: Params, word: Word) -> None:
 def label_to_offset(params: Params, label: int) -> Offset:
     """Grid offset in {0..M-1}^d of a cell label."""
     validate_label(params, label)
-    offsets, _ = _label_tables(params.m, params.d)
-    return offsets[label - 1]
+    return tuple(label_offsets(params.m, params.d)[0][label - 1].tolist())
 
 
 def offset_to_label(params: Params, offset: Offset) -> int:
-    _, inv = _label_tables(params.m, params.d)
-    try:
-        return inv[tuple(offset)]
-    except KeyError:
-        raise DomainError(f"offset {offset} outside the M={params.m} grid") from None
+    m, d = params.m, params.d
+    if len(offset) != d or not all(0 <= c < m for c in offset):
+        raise DomainError(f"offset {offset} outside the M={m} grid")
+    return int(label_offsets(m, d)[1][np.ravel_multi_index(tuple(offset), (m,) * d)])
+
+
+def corner_nums(params: Params, word: Word) -> tuple[int, ...]:
+    """Integer corner numerators, over M^len(word), of the cell a word
+    addresses: coordinate k folds offset(word[n])[k] in base M."""
+    validate_word(params, word)
+    offsets = label_offsets(params.m, params.d)[0]
+    nums = [0] * params.d
+    for off in offsets[np.asarray(word, dtype=np.int64) - 1].tolist():
+        nums = [n * params.m + o for n, o in zip(nums, off)]
+    return tuple(nums)
 
 
 def is_boundary_label(params: Params, label: int) -> bool:
@@ -137,81 +151,6 @@ def is_boundary_label(params: Params, label: int) -> bool:
     """
     validate_label(params, label)
     return label <= params.n_boundary
-
-
-@dataclass(frozen=True)
-class ExactPoint:
-    """A point of [0,1]^d with coordinates numerator / m^level.
-
-    Stored in canonical form: the common level is reduced until some
-    numerator is not divisible by m (or level 0), so value-equal points
-    compare and hash equal.
-    """
-
-    m: int
-    level: int
-    nums: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise DomainError(f"level must be >= 0, got {self.level}")
-        nums = tuple(int(n) for n in self.nums)
-        level = self.level
-        side = self.m**level
-        for n in nums:
-            if not (0 <= n <= side):
-                raise DomainError(f"numerator {n} outside [0, {self.m}^{level}]")
-        while level > 0 and all(n % self.m == 0 for n in nums):
-            nums = tuple(n // self.m for n in nums)
-            level -= 1
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "level", level)
-
-    @property
-    def dim(self) -> int:
-        return len(self.nums)
-
-    def nums_at_level(self, level: int) -> tuple[int, ...]:
-        """Numerators rescaled to a coarser-grained (larger) level."""
-        if level < self.level:
-            raise DomainError(f"cannot rescale level {self.level} down to {level}")
-        f = self.m ** (level - self.level)
-        return tuple(n * f for n in self.nums)
-
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        den = self.m**self.level
-        return tuple(Fraction(n, den) for n in self.nums)
-
-    def to_floats(self) -> tuple[float, ...]:
-        # Fraction -> float rounds correctly even when m^level overflows
-        # a double.
-        return tuple(float(f) for f in self.as_fractions())
-
-    def to_json_dict(self) -> dict:
-        return {"level": self.level, "num": [str(n) for n in self.nums]}
-
-    @classmethod
-    def from_json_dict(cls, m: int, obj: dict) -> "ExactPoint":
-        return cls(m, int(obj["level"]), tuple(int(s) for s in obj["num"]))
-
-    @classmethod
-    def origin(cls, m: int, d: int) -> "ExactPoint":
-        return cls(m, 0, (0,) * d)
-
-
-def pi_finite(params: Params, word: Word) -> ExactPoint:
-    """Lower-left corner of the subcube addressed by a finite word.
-
-    Coordinate k is sum over positions n of offset(word[n])[k] * M^-(n+1),
-    an exact point at level len(word).
-    """
-    validate_word(params, word)
-    nums = [0] * params.d
-    for lab in word:
-        off = label_to_offset(params, lab)
-        for k in range(params.d):
-            nums[k] = nums[k] * params.m + off[k]
-    return ExactPoint(params.m, len(word), tuple(nums))
 
 
 def corner_floats(m: int, nums: np.ndarray, levels) -> np.ndarray:
@@ -230,25 +169,3 @@ def corner_floats(m: int, nums: np.ndarray, levels) -> np.ndarray:
         [[n / m ** int(l) for n in row] for row, l in zip(nums.tolist(), levels)],
         dtype=np.float64,
     )
-
-
-@dataclass(frozen=True)
-class Box:
-    """Closed axis-aligned cube: corner + side M^-level."""
-
-    corner: ExactPoint
-    level: int
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise DomainError(f"box level must be >= 0, got {self.level}")
-
-    @property
-    def m(self) -> int:
-        return self.corner.m
-
-    def side(self) -> Fraction:
-        return Fraction(1, self.m**self.level)
-
-    def to_json_dict(self) -> dict:
-        return {"level": self.level, "corner": self.corner.to_json_dict()}

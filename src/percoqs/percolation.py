@@ -275,23 +275,38 @@ def tree_from_words(
     return PercTree(params, seed, depth, tuple(parents), tuple(labels))
 
 
+def _json_int(value, key: str) -> int:
+    # JSON true and false parse to bools, which are ints to Python
+    if type(value) is not int:
+        raise DomainError(
+            f"malformed tree file: {key} must be a JSON integer, got {value!r}"
+        )
+    return value
+
+
 def tree_from_json_dict(obj: dict) -> PercTree:
     """Read a percoqs-tree/1 or /2 object; both store their survivors, so
-    the sampling rule they name does not matter here.  A missing or
-    malformed field raises DomainError."""
+    the sampling rule they name does not matter here.  M, d, K, depth,
+    seed and the eta labels must be JSON integers, the seed in [0, 2^64),
+    and p a JSON number; a missing or malformed field raises DomainError."""
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt not in ("percoqs-tree/1", _TREE_FORMAT):
         raise DomainError(f"unsupported tree format {fmt!r}")
     try:
-        m, d, k = int(obj["M"]), int(obj["d"]), int(obj["K"])
-        p = float(obj["p"])
-        eta = tuple(int(l) for l in obj["eta"])
-        depth, seed = int(obj["depth"]), int(obj["seed"])
+        m, d, k, depth, seed = (
+            _json_int(obj[key], key) for key in ("M", "d", "K", "depth", "seed")
+        )
+        p = obj["p"]
+        if type(p) not in (int, float):
+            raise DomainError(f"malformed tree file: p must be a JSON number, got {p!r}")
+        p = float(p)
+        eta = tuple(_json_int(l, "eta") for l in obj["eta"])
         survivors = list(obj["survivors"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise DomainError(
             f"malformed tree file: {type(exc).__name__}: {exc}"
         ) from None
+    _validate_seed(seed)
     params = Params(m=m, d=d, p=p, k=k, eta=eta)
     return tree_from_words(params, depth, survivors, seed=seed)
 
@@ -314,7 +329,7 @@ def sample_tree(
         raise DomainError(f"depth must be >= 0, got {depth}")
     a = params.alphabet_size
     thr = np.uint64(survival_threshold(params.p))
-    salts = np.arange(1, a + 1, dtype=np.uint64) * _PHI
+    salts = None
     parents = [np.array([-1], dtype=np.int32)]
     labels = [np.array([0], dtype=np.int32)]
     keys = _root_key(seed)
@@ -328,6 +343,8 @@ def sample_tree(
                 "raise the budget to sample deeper"
             )
         evaluated += n_candidates
+        if salts is None:  # built only once the budget admits M^d candidates
+            salts = np.arange(1, a + 1, dtype=np.uint64) * _PHI
         child = _mix64(keys[:, None] ^ salts)
         par, lab = np.nonzero(child < thr)
         parents.append(par.astype(np.int32))

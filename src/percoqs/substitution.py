@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .lattice import Box, ExactPoint, label_to_offset, pi_finite
+from .lattice import corner_nums, label_offsets
 from .percolation import PercTree
 
 
@@ -81,20 +81,18 @@ def level_table(
     (src, img), two (n, d) arrays of integer corner numerators: src over
     M^level, img over M^(rewritten length), the length being
     ftree.tilde_lengths[level][node].  Numerators are int64 while M^(the
-    longest rewritten length) < 2^63 and Python ints in object arrays
-    past that.
+    longest rewritten length) and M^K are below 2^63, and Python ints in
+    object arrays past that.
     """
     tree = ftree.tree
     pr = ftree.params
     chain = tree.prefix_nodes(level, nodes)
     lengths = ftree.tilde_lengths[level][chain[-1]]
-    wide = lengths.size > 0 and pr.m ** int(lengths.max()) >= 2**63
+    # the insertion block's corner, below M^K, must fit as well
+    wide = pr.m ** max(pr.k, int(lengths.max(initial=0))) >= 2**63
     dtype = object if wide else np.int64
-    offs = np.array(
-        [label_to_offset(pr, l) for l in range(1, pr.alphabet_size + 1)],
-        dtype=dtype,
-    )
-    eta = np.array(pi_finite(pr, pr.eta).nums_at_level(pr.k), dtype=dtype)
+    offs = label_offsets(pr.m, pr.d)[0].astype(dtype)
+    eta = np.array(corner_nums(pr, pr.eta), dtype=dtype)
     shift = pr.m**pr.k
     src = np.zeros((chain[-1].shape[0], pr.d), dtype=dtype)
     img = src.copy()
@@ -146,23 +144,3 @@ def pair_ratios(ftree: FlaggedTree, level: int, pairs) -> list[Fraction]:
         den = max(abs(a - b) for a, b in zip(src[x], src[y]))
         out.append(Fraction(num * m**e, den * m**top))
     return out
-
-
-def image_cover(ftree: FlaggedTree, level: int) -> set[Box]:
-    """Image boxes of all survivors of a level.
-
-    Each box sits at level |w| + K * (number of insertions).  Distinct
-    survivors always yield distinct boxes; a collision would break the
-    substitution's injectivity and raises.
-    """
-    _, img = level_table(ftree, level)
-    m = ftree.params.m
-    boxes = {
-        Box(ExactPoint(m, t, tuple(c)), t)
-        for c, t in zip(img.tolist(), ftree.tilde_lengths[level].tolist())
-    }
-    if len(boxes) != img.shape[0]:
-        raise RuntimeError(
-            "image boxes collided; the substitution lost injectivity"
-        )
-    return boxes

@@ -1,11 +1,13 @@
 """One-word exact geometry: the independent oracle of the level tables.
 
 The package computes corners, rewritten corners and pair distortions a
-whole level at a time (substitution.level_table and pair_ratios), and
-the global map a whole point array at a time (globalmap.f_global).  The
-functions here take one word or one point at a time: they walk its
-prefixes with child_index, build the rewritten word letter by letter and
-measure distances in Fractions, so the tests can compare the two paths.
+whole level at a time (substitution.level_table and pair_ratios), the
+global map a whole point array at a time (globalmap.f_global), and the
+image panels of render from level_table rows.  The functions here take
+one word, one point or one box at a time: they walk its prefixes with
+child_index, build the rewritten word letter by letter, keep points as
+canonical ExactPoints and boxes as a set, and measure distances in
+Fractions, so the tests can compare the two paths.
 """
 
 from __future__ import annotations
@@ -19,15 +21,110 @@ import numpy as np
 from percoqs.errors import DomainError, PreconditionError
 from percoqs.globalmap import GeomConfig, g
 from percoqs.lattice import (
-    Box,
-    ExactPoint,
     Params,
     Word,
+    label_to_offset,
     offset_to_label,
-    pi_finite,
     validate_word,
 )
-from percoqs.substitution import FlaggedTree
+from percoqs.substitution import FlaggedTree, level_table
+
+
+@dataclass(frozen=True)
+class ExactPoint:
+    """A point of [0,1]^d with coordinates numerator / m^level.
+
+    Stored in canonical form: the common level is reduced until some
+    numerator is not divisible by m (or level 0), so value-equal points
+    compare and hash equal.
+    """
+
+    m: int
+    level: int
+    nums: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.level < 0:
+            raise DomainError(f"level must be >= 0, got {self.level}")
+        nums = tuple(int(n) for n in self.nums)
+        level = self.level
+        side = self.m**level
+        for n in nums:
+            if not (0 <= n <= side):
+                raise DomainError(f"numerator {n} outside [0, {self.m}^{level}]")
+        while level > 0 and all(n % self.m == 0 for n in nums):
+            nums = tuple(n // self.m for n in nums)
+            level -= 1
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "level", level)
+
+    @property
+    def dim(self) -> int:
+        return len(self.nums)
+
+    def nums_at_level(self, level: int) -> tuple[int, ...]:
+        """Numerators rescaled to a coarser-grained (larger) level."""
+        if level < self.level:
+            raise DomainError(f"cannot rescale level {self.level} down to {level}")
+        f = self.m ** (level - self.level)
+        return tuple(n * f for n in self.nums)
+
+    def as_fractions(self) -> tuple[Fraction, ...]:
+        den = self.m**self.level
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    def to_floats(self) -> tuple[float, ...]:
+        # Fraction -> float rounds correctly even when m^level overflows
+        # a double.
+        return tuple(float(f) for f in self.as_fractions())
+
+    def to_json_dict(self) -> dict:
+        return {"level": self.level, "num": [str(n) for n in self.nums]}
+
+    @classmethod
+    def from_json_dict(cls, m: int, obj: dict) -> "ExactPoint":
+        return cls(m, int(obj["level"]), tuple(int(s) for s in obj["num"]))
+
+    @classmethod
+    def origin(cls, m: int, d: int) -> "ExactPoint":
+        return cls(m, 0, (0,) * d)
+
+
+def pi_finite(params: Params, word: Word) -> ExactPoint:
+    """Lower-left corner of the subcube addressed by a finite word.
+
+    Coordinate k is sum over positions n of offset(word[n])[k] * M^-(n+1),
+    an exact point at level len(word).
+    """
+    validate_word(params, word)
+    nums = [0] * params.d
+    for lab in word:
+        off = label_to_offset(params, lab)
+        for k in range(params.d):
+            nums[k] = nums[k] * params.m + off[k]
+    return ExactPoint(params.m, len(word), tuple(nums))
+
+
+@dataclass(frozen=True)
+class Box:
+    """Closed axis-aligned cube: corner + side M^-level."""
+
+    corner: ExactPoint
+    level: int
+
+    def __post_init__(self) -> None:
+        if self.level < 0:
+            raise DomainError(f"box level must be >= 0, got {self.level}")
+
+    @property
+    def m(self) -> int:
+        return self.corner.m
+
+    def side(self) -> Fraction:
+        return Fraction(1, self.m**self.level)
+
+    def to_json_dict(self) -> dict:
+        return {"level": self.level, "corner": self.corner.to_json_dict()}
 
 
 def words(tree, level: int) -> list[Word]:
@@ -48,6 +145,26 @@ def word_meet(i: Word, j: Word) -> Word:
 def box_of_word(params: Params, word: Word) -> Box:
     """The subcube addressed by a word."""
     return Box(pi_finite(params, word), len(word))
+
+
+def image_cover(ftree: FlaggedTree, level: int) -> set[Box]:
+    """Image boxes of all survivors of a level.
+
+    Each box sits at level |w| + K * (number of insertions).  Distinct
+    survivors always yield distinct boxes; a collision would break the
+    substitution's injectivity and raises.
+    """
+    _, img = level_table(ftree, level)
+    m = ftree.params.m
+    boxes = {
+        Box(ExactPoint(m, t, tuple(c)), t)
+        for c, t in zip(img.tolist(), ftree.tilde_lengths[level].tolist())
+    }
+    if len(boxes) != img.shape[0]:
+        raise RuntimeError(
+            "image boxes collided; the substitution lost injectivity"
+        )
+    return boxes
 
 
 def dist_max(x: ExactPoint, y: ExactPoint) -> Fraction:

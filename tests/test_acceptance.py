@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracle import f_point, tilde
+from exact_oracle import f_point, pi_finite, tilde
 
 from percoqs.analysis import (
     epsilon_table,
@@ -21,7 +21,7 @@ from percoqs.analysis import (
 )
 from percoqs.cli import main
 from percoqs.globalmap import GeomConfig, f_global, g_batch
-from percoqs.lattice import Params, label_to_offset, pi_finite
+from percoqs.lattice import Params, label_to_offset
 from percoqs.percolation import (
     derive_seed,
     sample_nonextinct,

@@ -7,10 +7,13 @@ import re
 import subprocess
 import sys
 from argparse import Namespace
+from fractions import Fraction
 
 import pytest
+from exact_oracle import image_cover
+from test_substitution import _past_int64_tree
 
-from percoqs import analysis
+from percoqs import analysis, substitution
 from percoqs.cli import (
     EXIT_CAPACITY,
     EXIT_CHECK_FAILED,
@@ -22,7 +25,13 @@ from percoqs.cli import (
     render_svg,
 )
 from percoqs.lattice import Params
-from percoqs.percolation import sample_tree, tree_from_words
+from percoqs.percolation import (
+    sample_nonextinct,
+    sample_tree,
+    tree_from_json_dict,
+    tree_from_words,
+)
+from percoqs.substitution import compute_flags, level_table
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +66,13 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         "strings.json": json.dumps({**header, "survivors": [[[]], [["a"]]]}),
         "floats.json": json.dumps({**header, "survivors": [[[]], [[1.5]]]}),
     }
+    # header fields are JSON integers (p a JSON number), never coerced
+    for i, (key, value) in enumerate([
+        ("M", 3.7), ("depth", 2.9), ("seed", 1.5), ("K", True), ("M", "3"),
+        ("p", "0.7"), ("seed", -3), ("seed", 2**70), ("eta", [9.0]), ("p", False),
+    ]):
+        bad_files[f"header{i}.json"] = json.dumps(
+            {**header, key: value, "survivors": [[[]], [[1]]]})
     bad_inputs = [["solve", "t", "--eta", "1,x"],
                   ["render", "--tree", str(good), "--levels", "1,a"],
                   ["render", "--tree", str(good), "--px", "0"],
@@ -74,7 +90,10 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
                   ["check", "global", "--depth", "2", "--trials", "0"],
                   ["check", "global", "--depth", "2", "--trials", "1"],
                   ["sample", "--depth", "1", "--node-budget", "0"],
-                  ["sample", "--depth", "1", "--node-budget", "-1"]]
+                  ["sample", "--depth", "1", "--node-budget", "-1"],
+                  # the outcome table's binomials pass the float range
+                  ["check", "oracle", "--M", "5", "--d", "5"],
+                  ["check", "martingale", "--M", "5", "--d", "5", "--depth", "1"]]
     for name, text in bad_files.items():
         (tmp_path / name).write_text(text)
         bad_inputs.append(["render", "--tree", str(tmp_path / name), "--levels", "1"])
@@ -104,6 +123,16 @@ def test_capacity_exit_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_high_dimension_returns_at_once(capsys):
+    # 3^40 candidates at level 1: the budget stops sampling before any
+    # M^d array is built, and the default eta needs no label table
+    assert main(["sample", "--M", "3", "--d", "40", "--depth", "1"]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("percoqs: capacity: ") and err.count("\n") == 1
+    assert main(["solve", "t", "--M", "3", "--d", "40"]) == EXIT_OK
+    assert "s_hausdorff=39.675340475" in capsys.readouterr().out
+
+
 def test_io_error_exit_3(tmp_path, capsys):
     missing = str(tmp_path / "no-such-dir" / "x.json")
     assert main(["sample", "--depth", "2", "--out", missing]) == EXIT_IO
@@ -126,9 +155,15 @@ def test_sample_writes_canonical_tree(tmp_path, capsys):
     assert main(["sample", "--depth", "3", "--seed", "5", "--out", str(out)]) == EXIT_OK
     err = capsys.readouterr().err
     assert "level 0: 1 survivors" in err
-    obj = json.loads(out.read_bytes())
+    data = out.read_bytes()
+    obj = json.loads(data)
     assert obj["format"] == "percoqs-tree/2"
     assert obj["depth"] == 3 and obj["seed"] == 5
+    # the strict header reader takes back what sample wrote, and a /1
+    # header over the same survivors reads to the same tree
+    assert tree_from_json_dict(obj).to_canonical_bytes() == data
+    old = {**obj, "format": "percoqs-tree/1"}
+    assert tree_from_json_dict(old).to_canonical_bytes() == data
 
 
 def test_sample_stdout_when_no_out(capsys):
@@ -217,6 +252,109 @@ def test_render_rejects_3d():
 
     with pytest.raises(DomainError):
         render_svg(tree, [1])
+
+
+# --- image panels --------------------------------------------------------------
+
+
+def _image_rects(svg):
+    return [line for line in svg.splitlines() if 'fill="#7d3c68"' in line]
+
+
+def _image_widths(svg):
+    return sorted(re.search(r'width="([^"]+)"', r).group(1) for r in _image_rects(svg))
+
+
+def _oracle_image_svg(tree, levels, px=220, gap=14):
+    """render_svg's image panels, drawn from the oracle's image_cover
+    boxes: Fraction corners and sides, sorted as (corner, side) tuples."""
+    ftree = compute_flags(tree)
+    width = len(levels) * (px + gap) + gap
+    height = px + 2 * gap
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">']
+    for i, level in enumerate(levels):
+        x0, y0 = gap + i * (px + gap), gap
+        parts.append(f'<rect x="{x0}" y="{y0}" width="{px}" height="{px}" '
+                     f'fill="none" stroke="#222" stroke-width="1"/>')
+        rects = sorted((b.corner.to_floats(), float(b.side()))
+                       for b in image_cover(ftree, level))
+        for (cx, cy), side in rects:
+            parts.append(
+                f'<rect x="{x0 + cx * px:.4f}" y="{y0 + (1.0 - cy - side) * px:.4f}" '
+                f'width="{side * px:.4f}" height="{side * px:.4f}" fill="#7d3c68"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def test_image_panel_full_grid_near_p_one():
+    tree = sample_tree(Params(m=3, d=2, p=1.0 - 2.0**-53), 2, 2)
+    svg = render_svg(tree, [2], image=True)
+    assert len(_image_rects(svg)) == tree.count(2) == 81
+    assert _image_widths(svg) == [f"{220 / 9:.4f}"] * 81
+
+
+def test_image_panel_levels_and_partition_sum_agree():
+    tree = sample_tree(Params(m=3, d=2, p=0.45), 4, 17)
+    assert tree.count(4) > 0
+    ft = compute_flags(tree)
+    svg = render_svg(tree, [4], image=True)
+    assert len(_image_rects(svg)) == tree.count(4)
+    tl = ft.tilde_lengths[4].tolist()
+    assert _image_widths(svg) == sorted(f"{220 / 3**t:.4f}" for t in tl)
+    for s in (0, 1, 2):
+        total = sum((Fraction(1, 3**t) ** s for t in tl), Fraction(0))
+        assert total == analysis.partition_sum(ft, s, 4).as_fraction()
+
+
+@pytest.mark.parametrize("pr, depth, seed, insertions", [
+    (Params(m=3, d=2, p=0.45), 4, 17, 0),
+    (Params(m=3, d=2, p=0.25), 6, 0, 7),
+    (Params(m=4, d=2, p=0.3, k=2, eta=(16, 13)), 5, 2, 160),
+    (Params(m=5, d=2, p=0.2), 4, 3, 85),
+], ids=["M3p45", "M3p25", "M4K2", "M5"])
+def test_image_panel_matches_oracle_boxes(pr, depth, seed, insertions):
+    tree, _ = sample_nonextinct(pr, depth, seed)
+    tls = compute_flags(tree).tilde_lengths
+    assert int((tls[depth] > depth).sum()) == insertions  # survivors with one
+    levels = list(range(depth + 1))
+    svg = render_svg(tree, levels, image=True)
+    assert svg == _oracle_image_svg(tree, levels)
+    assert _image_widths(svg) == sorted(
+        f"{220 / pr.m**t:.4f}" for tl in tls for t in tl.tolist())
+
+
+def test_image_panel_matches_oracle_boxes_past_int64():
+    ft = _past_int64_tree()
+    assert level_table(ft, 7)[1].dtype == object
+    levels = list(range(8))
+    svg = render_svg(ft.tree, levels, image=True)
+    assert svg == _oracle_image_svg(ft.tree, levels)
+    assert len(_image_rects(svg)) == sum(ft.tree.count(k) for k in levels)
+
+
+def test_image_panel_injectivity_guard(monkeypatch):
+    # (9, 9) keeps corner (4, 4) over 3^2; (1,) is flagged, so (1, 9)
+    # rewrites to (1, 9, 9), corner (4, 4) over 3^3: equal numerators,
+    # distinct cells
+    shared = tree_from_words(Params(m=3, d=2, p=0.7), 2, [
+        [()], [(1,), (9,)], [(1, 9), (9, 1), (9, 9)]])
+    img = level_table(compute_flags(shared), 2)[1].tolist()
+    assert img[0] == img[2] == [4, 4]
+    assert render_svg(shared, [2], image=True) == _oracle_image_svg(shared, [2])
+
+    tree = sample_tree(Params(m=3, d=2, p=1.0 - 2.0**-53), 2, 2)
+    table = substitution.level_table
+
+    def repeat_first_row(ftree, level, nodes=None):
+        src, img = table(ftree, level, nodes)
+        img[1] = img[0]  # level 2 has no flags, so both rows have length 2
+        return src, img
+
+    monkeypatch.setattr(substitution, "level_table", repeat_first_row)
+    assert render_svg(tree, [2]).count("<rect") == 82  # plain panels ignore it
+    with pytest.raises(RuntimeError, match="injectivity"):
+        render_svg(tree, [2], image=True)
 
 
 # --- solve -----------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracle import f_global as f_global_point, f_point, madic_address
+from exact_oracle import f_global as f_global_point, f_point, madic_address, pi_finite
 
 from percoqs.errors import DomainError, PreconditionError
 from percoqs.globalmap import (
@@ -15,7 +15,7 @@ from percoqs.globalmap import (
     g,
     g_batch,
 )
-from percoqs.lattice import Params, offset_to_label, pi_finite
+from percoqs.lattice import Params, offset_to_label
 from percoqs.percolation import sample_nonextinct, sample_tree, tree_from_words
 from percoqs.substitution import compute_flags
 

@@ -1,25 +1,25 @@
 """Exact lattice geometry: labels, corners, metric, boxes."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from exact_oracle import box_of_word, dist_max, word_meet
+from exact_oracle import ExactPoint, box_of_word, dist_max, pi_finite, word_meet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percoqs.errors import DomainError
 from percoqs.lattice import (
-    Box,
-    ExactPoint,
     Params,
     boundary_label_count,
     corner_floats,
+    corner_nums,
     default_eta,
     is_boundary_label,
+    label_offsets,
     label_to_offset,
     offset_to_label,
-    pi_finite,
     validate_word,
 )
 
@@ -87,6 +87,31 @@ def test_label_out_of_range():
         validate_word(P32, (1, 99))
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_offset_table_and_default_eta_match_enumeration(m, d):
+    # the reference: every offset in lexicographic order, split into the
+    # boundary block and the interior block
+    boundary, interior = [], []
+    for off in product(range(m), repeat=d):
+        (boundary if any(c in (0, m - 1) for c in off) else interior).append(off)
+    table = boundary + interior
+    offsets, labels = label_offsets(m, d)
+    assert offsets.shape == (m**d, d) and labels.shape == (m**d,)
+    assert [tuple(row) for row in offsets.tolist()] == table
+    for lab, off in enumerate(table, start=1):
+        assert labels[np.ravel_multi_index(off, (m,) * d)] == lab
+    assert not offsets.flags.writeable and not labels.flags.writeable
+    center = table.index((m // 2,) * d) + 1
+    for k in (1, 3):
+        assert default_eta(m, d, k) == (center,) * k
+    word = tuple(range(1, m**d + 1, 2))
+    want = [0] * d
+    for lab in word:
+        want = [n * m + o for n, o in zip(want, table[lab - 1])]
+    assert corner_nums(Params(m=m, d=d, p=0.5), word) == tuple(want)
+
+
 def test_default_eta():
     assert default_eta(3, 2) == (9,)
     assert default_eta(4, 2, 2) == (16, 16)
@@ -149,8 +174,6 @@ def test_pi_decomposition(data, m, d):
 
 
 def test_distinct_words_distinct_corners_exhaustive():
-    from itertools import product
-
     corners = {
         pi_finite(P32, w)
         for w in product(range(1, 10), repeat=3)

@@ -4,13 +4,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracle import comparability_ratio, dist_max, f_point, tilde, words
+from exact_oracle import (
+    comparability_ratio,
+    dist_max,
+    f_point,
+    pi_finite,
+    tilde,
+    words,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _int_corners, _tilde_codes
 
 from percoqs.errors import DomainError, PreconditionError
-from percoqs.lattice import Params, pi_finite
+from percoqs.lattice import Params
 from percoqs.percolation import (
     derive_seed,
     sample_nonextinct,
@@ -18,13 +25,7 @@ from percoqs.percolation import (
     subtree,
     tree_from_words,
 )
-from percoqs.substitution import (
-    compute_flags,
-    image_cover,
-    level_table,
-    pair_ratios,
-)
-from percoqs.analysis import partition_sum
+from percoqs.substitution import compute_flags, level_table, pair_ratios
 
 P32 = Params(m=3, d=2, p=0.7)
 P42 = Params(m=4, d=2, p=0.7)
@@ -252,30 +253,6 @@ def test_property_splitting_identity(ft, data):
         assert tilde(ft, w[:c]).labels + tilde(sub, w[c:]).labels == whole
 
 
-# --- image cover --------------------------------------------------------------
-
-
-def test_image_cover_full_grid_near_p_one():
-    ft = compute_flags(sample_tree(P_NEAR_ONE, 2, 2))
-    cover = image_cover(ft, 2)
-    assert len(cover) == 81
-    assert all(b.level == 2 for b in cover)
-
-
-def test_image_cover_levels_and_partition_sum_agree():
-    tree = sample_tree(Params(m=3, d=2, p=0.45), 4, 17)
-    assert tree.count(4) > 0
-    ft = compute_flags(tree)
-    cover = image_cover(ft, 4)
-    assert len(cover) == tree.count(4)
-    for s in (0, 1, 2):
-        total = sum((b.side() ** s for b in cover), Fraction(0))
-        assert total == partition_sum(ft, s, 4).as_fraction()
-    lengths = sorted(b.level for b in cover)
-    tl = sorted(int(x) for x in ft.tilde_lengths[4])
-    assert lengths == tl
-
-
 # --- level table ---------------------------------------------------------------
 
 
@@ -342,6 +319,17 @@ def test_level_table_object_numerators_past_int64():
     assert ft.params.m ** int(ft.tilde_lengths[7][0]) >= 2**63
     img = _check_level_table(ft, with_codes=False)
     assert img.dtype == object
+
+
+def test_level_table_long_eta_without_insertions():
+    # 3^40 > 2^63: eta's corner needs Python integers even at level 1,
+    # where no survivor carries an insertion; (9,) keeps only cell 9
+    pr = Params(m=3, d=2, p=0.7, k=40)
+    ft = compute_flags(tree_from_words(pr, 2, [[()], [(1,), (9,)], [(1, 2), (9, 9)]]))
+    assert ft.tilde_lengths[1].tolist() == [1, 1]
+    assert ft.tilde_lengths[2].tolist() == [2, 42]
+    _check_level_table(ft, with_codes=False)
+    assert level_table(ft, 1)[1].dtype == object
 
 
 def _check_pair_ratios(ft):
