@@ -4,7 +4,8 @@ Subcommands: sample (tree files), render (SVG panels), solve
 (closed-form exponents), check (self-verification against the closed
 forms and map invariants).  All outputs are deterministic functions of
 the printed configuration.  Sampling runs in one process; --workers is
-accepted for compatibility and otherwise ignored.
+accepted for compatibility and otherwise ignored.  The argument parser is
+built once per process and reused by every call of main.
 
 Exit codes: 0 ok, 1 usage or bad parameter, 2 resource budget exhausted,
 3 I/O failure, 4 a requested check failed.
@@ -13,6 +14,7 @@ Exit codes: 0 ok, 1 usage or bad parameter, 2 resource budget exhausted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -174,7 +176,7 @@ def render_svg(tree, levels, image=False, px=220, gap=14) -> str:
     if params.d != 2:
         raise DomainError(f"rendering is 2-d only, got d={params.d}")
     # a depth-0 tree has no flags; its only level, the root, needs none
-    ftree = substitution.compute_flags(tree) if tree.depth or image else None
+    ftree = substitution.compute_flags(tree) if tree.depth else None
     parts = []
     width = len(levels) * (px + gap) + gap
     height = px + 2 * gap
@@ -190,12 +192,14 @@ def render_svg(tree, levels, image=False, px=220, gap=14) -> str:
             f'<rect x="{x0}" y="{y0}" width="{px}" height="{px}" '
             f'fill="none" stroke="#222" stroke-width="1"/>'
         )
-        if ftree is None:
-            src = np.zeros((1, 2), dtype=np.int64)
+        if ftree is None:  # the root's image cell is the unit cube itself
+            src = img = np.zeros((1, 2), dtype=np.int64)
+            tilde = np.zeros(1, dtype=np.int64)
         else:
             src, img = substitution.level_table(ftree, level)
+            tilde = ftree.tilde_lengths[level]
         if image:
-            nums, lengths, fill = img, ftree.tilde_lengths[level], _SVG_IMAGE_FILL
+            nums, lengths, fill = img, tilde, _SVG_IMAGE_FILL
             _check_injective(lengths, nums)
             # a side 1/M^t is the corner of numerator 1, correctly rounded
             ones = np.ones((nums.shape[0], 1), dtype=np.int64)
@@ -523,7 +527,10 @@ def cmd_check_global(args) -> int:
 # --- wiring ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built on the first call and shared after it:
+    parse_args fills a fresh namespace each time, so calls do not leak."""
     parser = _Parser(prog="percoqs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

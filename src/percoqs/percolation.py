@@ -7,16 +7,21 @@ golden-ratio constant.  A non-root node survives iff its key is below
 floor(p * 2^64).  Verdicts are therefore a pure function of (seed, word):
 independent of evaluation order and of which other nodes were ever
 examined.  The sampler evaluates one whole level at a time on uint64
-arrays.  A sampled tree keeps, per level, the surviving words in
-lexicographic order as parallel parent-index / label arrays; children of
-a node occupy a contiguous slice of the next level.
+arrays.  A sampled tree stores, per level, one bit per candidate cell:
+the packed verdicts of every child of every surviving node of the level
+above, in row-major (parent, label) order, which is also the
+lexicographic order of the surviving words.  Parent-index / label arrays
+are derived from these masks on first use; children of a node occupy a
+contiguous slice of the next level.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .lattice import Params, Word, validate_label, validate_word
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_REJECTION_BUDGET = 10**6
-_TREE_FORMAT = "percoqs-tree/2"
+_TREE_FORMAT = "percoqs-tree/3"
 
 _TWO64 = 2**64
 # the SplitMix64 increment and finaliser constants (Steele, Lea & Flood 2014)
@@ -90,28 +95,56 @@ def derive_seed(master_seed: int, *parts: object) -> int:
 class PercTree:
     """Surviving words of a depth-n sample, level by level.
 
+    masks[k-1], for level k >= 1, is np.packbits of the row-major
+    (count(k-1), M^d) boolean array whose entry (i, j) says that child
+    j+1 of node i of level k-1 survived; counts[k] is the number of
+    survivors of level k (counts[0] = 1, the root).
+
     parents[k][i] indexes the parent of node i of level k inside level
-    k-1; labels[k][i] is its last letter.  Both are int32, which holds
-    any level this sampler can keep in memory.  Level 0 is the root sentinel
-    (parent -1, label 0).  Within a level, nodes are sorted by
-    (parent index, label), i.e. lexicographically by word.
+    k-1; labels[k][i] is its last letter.  Both are read-only int32 arrays
+    (int32 holds any level this sampler can keep in memory), unpacked from
+    the masks on first use; level 0 is the root sentinel (parent -1,
+    label 0).  Within a level, nodes are sorted by (parent index, label),
+    i.e. lexicographically by word.
     """
 
     params: Params
     seed: int
     depth: int
-    parents: tuple[np.ndarray, ...]
-    labels: tuple[np.ndarray, ...]
+    masks: tuple[np.ndarray, ...]
+    counts: tuple[int, ...]
 
     def count(self, level: int) -> int:
         """Number of surviving words of a level."""
         if not (0 <= level <= self.depth):
             raise DomainError(f"level {level} outside 0..{self.depth}")
-        return int(self.labels[level].shape[0])
+        return self.counts[level]
 
     @property
     def nonextinct(self) -> bool:
         return self.count(self.depth) > 0
+
+    @cached_property
+    def _links(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        a = self.params.alphabet_size
+        parents = [np.array([-1], dtype=np.int32)]
+        labels = [np.array([0], dtype=np.int32)]
+        for k, mask in enumerate(self.masks):
+            bits = np.unpackbits(mask, count=self.counts[k] * a)
+            par, lab = np.divmod(np.flatnonzero(bits), a)
+            parents.append(par.astype(np.int32))
+            labels.append(lab.astype(np.int32) + 1)
+        for arr in parents + labels:
+            arr.flags.writeable = False
+        return tuple(parents), tuple(labels)
+
+    @property
+    def parents(self) -> tuple[np.ndarray, ...]:
+        return self._links[0]
+
+    @property
+    def labels(self) -> tuple[np.ndarray, ...]:
+        return self._links[1]
 
     def child_range(self, level: int, index: int) -> tuple[int, int]:
         """Slice [lo, hi) of level+1 holding the children of a node."""
@@ -194,13 +227,26 @@ class PercTree:
             "eta": list(pr.eta),
             "seed": self.seed,
             "depth": self.depth,
-            "survivors": [self.label_matrix(k).tolist() for k in range(self.depth + 1)],
+            "levels": [base64.b64encode(m).decode("ascii") for m in self.masks],
         }
 
     def to_canonical_bytes(self) -> bytes:
         return (json.dumps(self.to_json_dict(), separators=(",", ":")) + "\n").encode(
             "ascii"
         )
+
+
+def _tree_from_links(params: Params, seed: int, parents, labels) -> PercTree:
+    """Pack the (parent index, label) arrays of levels 1, 2, ..., each
+    sorted by (parent, label), into a tree's level masks."""
+    a = params.alphabet_size
+    masks, counts = [], [1]
+    for par, lab in zip(parents, labels):
+        bits = np.zeros(counts[-1] * a, dtype=bool)
+        bits[par.astype(np.int64) * a + lab - 1] = True
+        masks.append(np.packbits(bits))
+        counts.append(int(lab.shape[0]))
+    return PercTree(params, seed, len(masks), tuple(masks), tuple(counts))
 
 
 def _word_rows(params: Params, words, k: int) -> np.ndarray:
@@ -250,8 +296,7 @@ def tree_from_words(
     if _word_rows(params, survivors[0], 0).shape[0] != 1:
         raise DomainError("level 0 must contain exactly the empty word")
     base = params.alphabet_size + 1
-    parents = [np.array([-1], dtype=np.int32)]
-    labels = [np.array([0], dtype=np.int32)]
+    parents, labels = [], []
     codes = [np.zeros(1, dtype=np.int64)]
     for k in range(1, depth + 1):
         rows = _word_rows(params, survivors[k], k)
@@ -269,10 +314,10 @@ def tree_from_words(
         if dead.size:
             w = tuple(rows[dead[0]].tolist())
             raise DomainError(f"word {w} has a dead prefix {w[:-1]}")
-        parents.append(par.astype(np.int32))
-        labels.append(rows[:, -1].astype(np.int32))
+        parents.append(par)
+        labels.append(rows[:, -1])
         codes.append(par * base + rows[:, -1])
-    return PercTree(params, seed, depth, tuple(parents), tuple(labels))
+    return _tree_from_links(params, seed, parents, labels)
 
 
 def _json_int(value, key: str) -> int:
@@ -284,13 +329,49 @@ def _json_int(value, key: str) -> int:
     return value
 
 
+def _tree_from_levels(params: Params, seed: int, depth: int, levels) -> PercTree:
+    """Decode and validate the base64 level masks of a /3 file: one
+    canonical string per level, each exactly as long as its parents'
+    candidates need, with zero padding bits."""
+    if depth < 0:
+        raise DomainError(f"depth must be >= 0, got {depth}")
+    if type(levels) is not list or len(levels) != depth:
+        raise DomainError(
+            f"malformed tree file: levels must be a list of {depth} base64 strings"
+        )
+    a = params.alphabet_size
+    masks, counts = [], [1]
+    for k, text in enumerate(levels, 1):
+        if type(text) is not str:
+            raise DomainError(f"malformed tree file: level {k} is not a string")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:  # binascii.Error included
+            raise DomainError(f"malformed tree file: level {k}: {exc}") from None
+        if base64.b64encode(raw).decode("ascii") != text:
+            raise DomainError(f"malformed tree file: level {k} is not canonical base64")
+        nbits = counts[-1] * a
+        if len(raw) != -(-nbits // 8):
+            raise DomainError(
+                f"malformed tree file: level {k} holds {len(raw)} bytes, not the "
+                f"{-(-nbits // 8)} that {counts[-1]} x {a} verdicts pack into"
+            )
+        mask = np.frombuffer(raw, dtype=np.uint8)
+        if nbits % 8 and mask[-1] & (0xFF >> (nbits % 8)):
+            raise DomainError(f"malformed tree file: level {k} has nonzero padding")
+        masks.append(mask)
+        counts.append(int(np.bitwise_count(mask).sum()))
+    return PercTree(params, seed, depth, tuple(masks), tuple(counts))
+
+
 def tree_from_json_dict(obj: dict) -> PercTree:
-    """Read a percoqs-tree/1 or /2 object; both store their survivors, so
-    the sampling rule they name does not matter here.  M, d, K, depth,
-    seed and the eta labels must be JSON integers, the seed in [0, 2^64),
-    and p a JSON number; a missing or malformed field raises DomainError."""
+    """Read a percoqs-tree/1, /2 or /3 object.  /3 stores base64 level
+    masks; /1 and /2 store word lists, so the sampling rule they name
+    does not matter here.  M, d, K, depth, seed and the eta labels must
+    be JSON integers, the seed in [0, 2^64), and p a JSON number; a
+    missing or malformed field raises DomainError."""
     fmt = obj.get("format") if isinstance(obj, dict) else None
-    if fmt not in ("percoqs-tree/1", _TREE_FORMAT):
+    if fmt not in ("percoqs-tree/1", "percoqs-tree/2", _TREE_FORMAT):
         raise DomainError(f"unsupported tree format {fmt!r}")
     try:
         m, d, k, depth, seed = (
@@ -301,14 +382,16 @@ def tree_from_json_dict(obj: dict) -> PercTree:
             raise DomainError(f"malformed tree file: p must be a JSON number, got {p!r}")
         p = float(p)
         eta = tuple(_json_int(l, "eta") for l in obj["eta"])
-        survivors = list(obj["survivors"])
+        body = obj["levels"] if fmt == _TREE_FORMAT else list(obj["survivors"])
     except (KeyError, TypeError, OverflowError) as exc:
         raise DomainError(
             f"malformed tree file: {type(exc).__name__}: {exc}"
         ) from None
     _validate_seed(seed)
     params = Params(m=m, d=d, p=p, k=k, eta=eta)
-    return tree_from_words(params, depth, survivors, seed=seed)
+    if fmt == _TREE_FORMAT:
+        return _tree_from_levels(params, seed, depth, body)
+    return tree_from_words(params, depth, body, seed=seed)
 
 
 def sample_tree(
@@ -320,8 +403,9 @@ def sample_tree(
     """Sample the percolation tree to a fixed depth.
 
     Evaluates every child of every surviving node, one level at a time:
-    an (n, M^d) array of child keys, whose below-threshold entries, in
-    row-major order, are the next level's (parent, label) pairs and keys.
+    an (n, M^d) array of child keys, whose below-threshold verdicts,
+    packed in row-major order, are the next level's mask, and whose
+    surviving entries are its keys.
     The budget caps the number of candidate evaluations and aborts before
     a level that would exceed it (no silent truncation).
     """
@@ -330,8 +414,7 @@ def sample_tree(
     a = params.alphabet_size
     thr = np.uint64(survival_threshold(params.p))
     salts = None
-    parents = [np.array([-1], dtype=np.int32)]
-    labels = [np.array([0], dtype=np.int32)]
+    masks, counts = [], [1]
     keys = _root_key(seed)
     evaluated = 0
     for level in range(depth):
@@ -346,11 +429,11 @@ def sample_tree(
         if salts is None:  # built only once the budget admits M^d candidates
             salts = np.arange(1, a + 1, dtype=np.uint64) * _PHI
         child = _mix64(keys[:, None] ^ salts)
-        par, lab = np.nonzero(child < thr)
-        parents.append(par.astype(np.int32))
-        labels.append(lab.astype(np.int32) + 1)
-        keys = child[par, lab]
-    return PercTree(params, seed, depth, tuple(parents), tuple(labels))
+        alive = child < thr
+        masks.append(np.packbits(alive))
+        keys = child[alive]
+        counts.append(int(keys.shape[0]))
+    return PercTree(params, seed, depth, tuple(masks), tuple(counts))
 
 
 def sample_nonextinct(
@@ -399,8 +482,7 @@ def subtree(tree: PercTree, word: Word) -> PercTree:
     if idx is None:
         raise DomainError(f"word {word} is not a survivor of this tree")
     n = len(word)
-    parents = [np.array([-1], dtype=np.int32)]
-    labels = [np.array([0], dtype=np.int32)]
+    parents, labels = [], []
     lo, hi = idx, idx + 1
     for k in range(n + 1, tree.depth + 1):
         par = tree.parents[k]
@@ -408,11 +490,9 @@ def subtree(tree: PercTree, word: Word) -> PercTree:
         new_hi = int(np.searchsorted(par, hi, side="left"))
         # parent ids re-base against the previous level's slice start
         parents.append(par[new_lo:new_hi] - lo)
-        labels.append(tree.labels[k][new_lo:new_hi].copy())
+        labels.append(tree.labels[k][new_lo:new_hi])
         lo, hi = new_lo, new_hi
-    return PercTree(
-        tree.params, tree.seed, tree.depth - n, tuple(parents), tuple(labels)
-    )
+    return _tree_from_links(tree.params, tree.seed, parents, labels)
 
 
 def truncate(tree: PercTree, depth: int) -> PercTree:
@@ -420,9 +500,5 @@ def truncate(tree: PercTree, depth: int) -> PercTree:
     if not (0 <= depth <= tree.depth):
         raise DomainError(f"depth {depth} outside 0..{tree.depth}")
     return PercTree(
-        tree.params,
-        tree.seed,
-        depth,
-        tree.parents[: depth + 1],
-        tree.labels[: depth + 1],
+        tree.params, tree.seed, depth, tree.masks[:depth], tree.counts[: depth + 1]
     )

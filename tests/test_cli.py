@@ -21,6 +21,7 @@ from percoqs.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _finish_check,
+    build_parser,
     main,
     render_svg,
 )
@@ -73,6 +74,21 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
     ]):
         bad_files[f"header{i}.json"] = json.dumps(
             {**header, key: value, "survivors": [[[]], [[1]]]})
+    # /3 level masks: level 1 packs the root's 9 verdicts into 2 bytes, so
+    # "AIA=" (label 9 alive) is valid and each entry below is not
+    header3 = {**header, "format": "percoqs-tree/3"}
+    for i, levels in enumerate([
+        [], ["AIA=", "AAA="],  # not exactly depth strings
+        "AIA=", [9],  # not a list of strings
+        ["A!A="], ["AIA"], ["AIA=\n"], ["ÄIA="],  # not strict base64
+        ["AIB="],  # non-canonical trailing bits (decodes as "AIA=")
+        ["AA=="], ["AAAA"],  # 1 and 3 bytes where 2 are needed
+        ["AIE="],  # a padding bit set
+    ]):
+        bad_files[f"levels{i}.json"] = json.dumps({**header3, "levels": levels})
+    bad_files["levels-deeper.json"] = json.dumps(
+        {**header3, "depth": 2, "levels": ["AIA=", "AAAA"]})  # 1 parent, 2 bytes
+    bad_files["no-levels.json"] = json.dumps(header3)
     bad_inputs = [["solve", "t", "--eta", "1,x"],
                   ["render", "--tree", str(good), "--levels", "1,a"],
                   ["render", "--tree", str(good), "--px", "0"],
@@ -157,19 +173,23 @@ def test_sample_writes_canonical_tree(tmp_path, capsys):
     assert "level 0: 1 survivors" in err
     data = out.read_bytes()
     obj = json.loads(data)
-    assert obj["format"] == "percoqs-tree/2"
+    assert obj["format"] == "percoqs-tree/3"
     assert obj["depth"] == 3 and obj["seed"] == 5
-    # the strict header reader takes back what sample wrote, and a /1
-    # header over the same survivors reads to the same tree
-    assert tree_from_json_dict(obj).to_canonical_bytes() == data
-    old = {**obj, "format": "percoqs-tree/1"}
-    assert tree_from_json_dict(old).to_canonical_bytes() == data
+    # the strict reader takes back what sample wrote, and /1 and /2 word
+    # lists of the same survivors read to the same tree
+    tree = tree_from_json_dict(obj)
+    assert tree.to_canonical_bytes() == data
+    header = {key: value for key, value in obj.items() if key != "levels"}
+    survivors = [tree.label_matrix(k).tolist() for k in range(4)]
+    for fmt in ("percoqs-tree/1", "percoqs-tree/2"):
+        old = {**header, "format": fmt, "survivors": survivors}
+        assert tree_from_json_dict(old).to_canonical_bytes() == data
 
 
 def test_sample_stdout_when_no_out(capsys):
     assert main(["sample", "--depth", "1", "--seed", "0"]) == EXIT_OK
     obj = json.loads(capsys.readouterr().out)
-    assert obj["format"] == "percoqs-tree/2"
+    assert obj["format"] == "percoqs-tree/3"
 
 
 def test_sample_reruns_byte_identical(tmp_path, capsys):
@@ -229,10 +249,10 @@ def test_hand_tree_output_bytes_frozen():
     # digests of the tree file, the plain panels and the image panels;
     # the trees are built by hand, so a sampler change leaves them valid
     want = [
-        ("1ebb33cd8d8d9bab2e84b45b8072142912d496a7bbaab3fd6ef6409cf54c89c7",
+        ("366c0595c8a514e2c1b7d6d8a0730a8245b260a85b33b1629c23db1c98e996c1",
          "eac6ed9277528d2f43b61c360867d3587d57bcc84b1c5b261a7a33452ed46d52",
          "298a85bc5592a54c2d4462415d569ae597024de900a446634e4d7b211f55013f"),
-        ("f03ae51a6ce6b4213a37758e03fd868e6ae3b69ee23d73e814203ecc0862a872",
+        ("c0a1b13e8c36e90dcff3198fbc66094d3f364ee5fa8f1de9816b183cffcabf64",
          "70347c16c650ce67f36dea99ee948b3ae9bede7db431fd841d9b2d26bcd5fd21",
          "af38923a0ec819bb9559cbac92c24001b444c61dde1229f83011dd048b6d2de4"),
     ]
@@ -244,6 +264,39 @@ def test_hand_tree_output_bytes_frozen():
             render_svg(tree, levels, image=True).encode("ascii"),
         )
         assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == digests
+
+
+def test_render_depth_zero_image(tmp_path, capsys):
+    # the root's image cell is the unit cube: no flags needed, same geometry
+    tree_file = tmp_path / "t0.json"
+    assert main(["sample", "--depth", "0", "-o", str(tree_file)]) == EXIT_OK
+    svgs = []
+    for extra in ([], ["--image"]):
+        out = tmp_path / f"z{len(extra)}.svg"
+        assert main(["render", "--tree", str(tree_file), "--levels", "0", *extra,
+                     "-o", str(out)]) == EXIT_OK
+        svgs.append(out.read_text())
+    capsys.readouterr()
+    plain, image = svgs
+    assert image.count("<rect") == 2 and image.count('fill="#7d3c68"') == 1
+    assert image == plain.replace('fill="#30506d"', 'fill="#7d3c68"')
+
+
+def test_parser_built_once_without_leaking_flags(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    tree_file = tmp_path / "t.json"
+    assert main(["sample", "--depth", "3", "--seed", "2", "--nonextinct",
+                 "-o", str(tree_file)]) == EXIT_OK
+    plain = ["render", "--tree", str(tree_file), "--levels", "1,2"]
+    build_parser.cache_clear()
+    assert main(plain + ["-o", str(tmp_path / "alone.svg")]) == EXIT_OK
+    assert main(plain + ["--image", "--px", "100",
+                         "-o", str(tmp_path / "image.svg")]) == EXIT_OK
+    assert main(plain + ["-o", str(tmp_path / "after.svg")]) == EXIT_OK
+    capsys.readouterr()
+    alone = (tmp_path / "alone.svg").read_bytes()
+    assert b"#30506d" in alone and b"#7d3c68" not in alone
+    assert (tmp_path / "after.svg").read_bytes() == alone
 
 
 def test_render_rejects_3d():

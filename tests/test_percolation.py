@@ -259,18 +259,43 @@ def test_subtree_law_matches_fresh_trees():
 def test_json_roundtrip():
     t = sample_tree(P32, 3, 17)
     obj = json.loads(t.to_canonical_bytes())
-    assert obj["format"] == "percoqs-tree/2"
-    assert obj["survivors"][0] == [[]]
+    assert obj["format"] == "percoqs-tree/3"
+    # one base64 mask per level: level 1 packs the root's 9 verdicts in 2 bytes
+    assert len(obj["levels"]) == 3 and len(obj["levels"][0]) == 4
     back = tree_from_json_dict(obj)
     assert back.to_canonical_bytes() == t.to_canonical_bytes()
+
+
+def test_read_back_keeps_only_the_masks():
+    # reading, re-serialising and counting never unpack the int32 arrays
+    t = sample_tree(P32, 5, 11)
+    data = t.to_canonical_bytes()
+    back = tree_from_json_dict(json.loads(data))
+    assert back.to_canonical_bytes() == data
+    assert [back.count(k) for k in range(6)] == [t.count(k) for k in range(6)]
+    for tree in (t, back):
+        assert "_links" not in vars(tree)
+        assert [m.nbytes for m in tree.masks] == [
+            -(-tree.count(k) * 9 // 8) for k in range(5)]
+    # derived on first use: read-only, and the same for both trees
+    for k in range(6):
+        assert np.array_equal(back.parents[k], t.parents[k])
+        assert np.array_equal(back.labels[k], t.labels[k])
+    assert "_links" in vars(back)
+    assert not back.parents[3].flags.writeable and not back.labels[3].flags.writeable
 
 
 def test_version_1_tree_still_read():
-    # a /1 file stores its survivors, so it reads back whatever rule drew them
-    t = tree_from_words(P32, 2, [[()], [(3,), (9,)], [(3, 1), (9, 9)]])
-    obj = {**json.loads(t.to_canonical_bytes()), "format": "percoqs-tree/1"}
-    back = tree_from_json_dict(obj)
-    assert back.to_canonical_bytes() == t.to_canonical_bytes()
+    # /1 and /2 files store their survivors as word lists, so they read
+    # back whatever rule drew them, and re-serialise as /3
+    survivors = [[()], [(3,), (9,)], [(3, 1), (9, 9)]]
+    t = tree_from_words(P32, 2, survivors)
+    header = json.loads(t.to_canonical_bytes())
+    del header["levels"]
+    for fmt in ("percoqs-tree/1", "percoqs-tree/2"):
+        obj = {**header, "format": fmt, "survivors": survivors}
+        back = tree_from_json_dict(obj)
+        assert back.to_canonical_bytes() == t.to_canonical_bytes()
 
 
 def test_tree_from_words_validation():
