@@ -152,6 +152,77 @@ def cmd_sample(args) -> int:
 _SVG_FILL = "#30506d"
 _SVG_IMAGE_FILL = "#7d3c68"
 
+# The widest canvas, in px, whose coordinates _fixed4 writes exactly:
+# every coordinate lies in [0, width), and |x| * 10^4 must stay below 2^63.
+_MAX_CANVAS = 2**63 // 10**4
+# Entry k holds the four ASCII digits of k, as the bytes of one uint32.
+_DIGITS = (
+    (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+# Place values of the 4-digit groups of an integer part below 10^16.
+_PLACES = np.array([10**12, 10**8, 10**4, 1], dtype=np.uint64)
+# Integer digit j, of place 10^(15-j), is a leading zero while the integer
+# part is below _LEAD[j]; the units digit is always written.
+_LEAD = np.array([10**k for k in range(15, 0, -1)] + [0], dtype=np.uint64)
+# Rects per byte matrix, which bounds the matrices of large panels.
+_CHUNK = 1 << 16
+
+
+def _fixed4(x: np.ndarray) -> np.ndarray:
+    """'%.4f' % v for every float v of x, as a uint8 array of ASCII bytes
+    with one more axis: each field right-aligned and padded with 0 bytes,
+    as wide as the largest integer part needs.
+
+    Exact while |v| * 10^4 < 2^63.  With v = mant * 2^exp (frexp) and
+    10^4 = 625 * 2^4, |v| * 10^4 = q * 2^-s for the integer
+    q = mant * 2^53 * 625 < 2^63 and s = 49 - exp; the s shifted-out bits
+    round half to even, as Python's correctly rounded formatting does.
+    """
+    mant, exp = np.frexp(np.abs(x))
+    q = (mant * 2.0**53).astype(np.uint64) * np.uint64(625)
+    s = 49 - exp
+    # the domain leaves a left shift of at most 1; past a right shift of
+    # 63 the value is below 1/2 and rounds to 0
+    q = np.where(s > 63, np.uint64(0), q << (s < 0).astype(np.uint64))
+    shift = np.minimum(np.maximum(s, 0), 63).astype(np.uint64)
+    whole = q >> shift
+    rem2 = (q - (whole << shift)) << np.uint64(1)
+    half2 = np.uint64(1) << shift
+    n = whole + ((rem2 > half2) | ((rem2 == half2) & (whole & np.uint64(1) == 1)))
+    ip, frac = np.divmod(n, np.uint64(10**4))
+    groups = -(-len(str(int(ip.max(initial=0)))) // 4)
+    idx = np.concatenate(
+        [ip[..., None] // _PLACES[-groups:] % np.uint64(10**4), frac[..., None]], axis=-1
+    )
+    digits = _DIGITS[idx.astype(np.intp)].view(np.uint8)
+    w = 4 * groups
+    out = np.empty((*n.shape, w + 6), dtype=np.uint8)
+    out[..., 0] = np.signbit(x) * np.uint8(ord("-"))
+    out[..., 1 : w + 1] = digits[..., :w] * (ip[..., None] >= _LEAD[-w:])
+    out[..., w + 1] = ord(".")
+    out[..., w + 2 :] = digits[..., w:]
+    return out
+
+
+def _rect_lines(cols: np.ndarray, fill: str) -> str:
+    """One newline-led <rect> line per row of an (n, 3) float array of
+    x, y and side: one byte matrix of literal and _fixed4 columns, its 0
+    bytes dropped."""
+    pieces = ('\n<rect x="', '" y="', '" width="', '" height="', f'" fill="{fill}"/>')
+    fields = _fixed4(cols)
+    width = fields.shape[-1]
+    row = np.frombuffer(("\0" * width).join(pieces).encode("ascii"), dtype=np.uint8)
+    mat = np.repeat(row[None], cols.shape[0], axis=0)
+    at = 0
+    for piece, col in zip(pieces, (0, 1, 2, 2)):
+        at += len(piece)
+        mat[:, at : at + width] = fields[:, col]
+        at += width
+    return mat[mat != 0].tobytes().decode("ascii")
+
 
 def _check_injective(lengths, img) -> None:
     """Distinct survivors must rewrite to distinct image cells, i.e. to
@@ -169,27 +240,33 @@ def render_svg(tree, levels, image=False, px=220, gap=14) -> str:
 
     Both panel kinds read level_table: a survivor's cell has corner src
     over M^level, its image cell corner img over M^(rewritten length).
-    Image boxes are drawn sorted by corner, then side.
+    Image boxes are drawn sorted by corner, then side.  Coordinates are
+    '%.4f' of float expressions in the corners, written by _fixed4; a
+    canvas wider than _MAX_CANVAS px raises.
     """
     params = tree.params
     m = params.m
     if params.d != 2:
         raise DomainError(f"rendering is 2-d only, got d={params.d}")
-    # a depth-0 tree has no flags; its only level, the root, needs none
-    ftree = substitution.compute_flags(tree) if tree.depth else None
-    parts = []
     width = len(levels) * (px + gap) + gap
     height = px + 2 * gap
-    parts.append(
+    if width > _MAX_CANVAS:
+        raise DomainError(
+            f"canvas width {width} px is past the {_MAX_CANVAS} px whose "
+            "coordinates are written exactly"
+        )
+    # a depth-0 tree has no flags; its only level, the root, needs none
+    ftree = substitution.compute_flags(tree) if tree.depth else None
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
-    )
+    ]
     for i, level in enumerate(levels):
         x0 = gap + i * (px + gap)
         y0 = gap
         parts.append(
-            f'<rect x="{x0}" y="{y0}" width="{px}" height="{px}" '
+            f'\n<rect x="{x0}" y="{y0}" width="{px}" height="{px}" '
             f'fill="none" stroke="#222" stroke-width="1"/>'
         )
         if ftree is None:  # the root's image cell is the unit cube itself
@@ -210,14 +287,13 @@ def render_svg(tree, levels, image=False, px=220, gap=14) -> str:
         rects = np.column_stack([corner_floats(m, nums, lengths), sides])
         if image:
             rects = rects[np.lexsort(rects.T[::-1])]
-        for cx, cy, side in rects.tolist():
-            # SVG's y axis points down; flip so the origin is bottom-left
-            parts.append(
-                f'<rect x="{x0 + cx * px:.4f}" y="{y0 + (1.0 - cy - side) * px:.4f}" '
-                f'width="{side * px:.4f}" height="{side * px:.4f}" fill="{fill}"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        cx, cy, side = rects.T
+        # SVG's y axis points down; flip so the origin is bottom-left
+        cols = np.column_stack([x0 + cx * px, y0 + (1.0 - cy - side) * px, side * px])
+        for lo in range(0, cols.shape[0], _CHUNK):
+            parts.append(_rect_lines(cols[lo : lo + _CHUNK], fill))
+    parts.append("\n</svg>\n")
+    return "".join(parts)
 
 
 def cmd_render(args) -> int:

@@ -95,10 +95,10 @@ def derive_seed(master_seed: int, *parts: object) -> int:
 class PercTree:
     """Surviving words of a depth-n sample, level by level.
 
-    masks[k-1], for level k >= 1, is np.packbits of the row-major
-    (count(k-1), M^d) boolean array whose entry (i, j) says that child
-    j+1 of node i of level k-1 survived; counts[k] is the number of
-    survivors of level k (counts[0] = 1, the root).
+    masks[k-1], for level k >= 1, is the immutable bytes of np.packbits
+    of the row-major (count(k-1), M^d) boolean array whose entry (i, j)
+    says that child j+1 of node i of level k-1 survived; counts[k] is the
+    number of survivors of level k (counts[0] = 1, the root).
 
     parents[k][i] indexes the parent of node i of level k inside level
     k-1; labels[k][i] is its last letter.  Both are read-only int32 arrays
@@ -111,7 +111,7 @@ class PercTree:
     params: Params
     seed: int
     depth: int
-    masks: tuple[np.ndarray, ...]
+    masks: tuple[bytes, ...]
     counts: tuple[int, ...]
 
     def count(self, level: int) -> int:
@@ -130,7 +130,9 @@ class PercTree:
         parents = [np.array([-1], dtype=np.int32)]
         labels = [np.array([0], dtype=np.int32)]
         for k, mask in enumerate(self.masks):
-            bits = np.unpackbits(mask, count=self.counts[k] * a)
+            bits = np.unpackbits(
+                np.frombuffer(mask, dtype=np.uint8), count=self.counts[k] * a
+            )
             par, lab = np.divmod(np.flatnonzero(bits), a)
             parents.append(par.astype(np.int32))
             labels.append(lab.astype(np.int32) + 1)
@@ -244,7 +246,7 @@ def _tree_from_links(params: Params, seed: int, parents, labels) -> PercTree:
     for par, lab in zip(parents, labels):
         bits = np.zeros(counts[-1] * a, dtype=bool)
         bits[par.astype(np.int64) * a + lab - 1] = True
-        masks.append(np.packbits(bits))
+        masks.append(np.packbits(bits).tobytes())
         counts.append(int(lab.shape[0]))
     return PercTree(params, seed, len(masks), tuple(masks), tuple(counts))
 
@@ -356,11 +358,10 @@ def _tree_from_levels(params: Params, seed: int, depth: int, levels) -> PercTree
                 f"malformed tree file: level {k} holds {len(raw)} bytes, not the "
                 f"{-(-nbits // 8)} that {counts[-1]} x {a} verdicts pack into"
             )
-        mask = np.frombuffer(raw, dtype=np.uint8)
-        if nbits % 8 and mask[-1] & (0xFF >> (nbits % 8)):
+        if nbits % 8 and raw[-1] & (0xFF >> (nbits % 8)):
             raise DomainError(f"malformed tree file: level {k} has nonzero padding")
-        masks.append(mask)
-        counts.append(int(np.bitwise_count(mask).sum()))
+        masks.append(raw)
+        counts.append(int(np.bitwise_count(np.frombuffer(raw, dtype=np.uint8)).sum()))
     return PercTree(params, seed, depth, tuple(masks), tuple(counts))
 
 
@@ -430,7 +431,7 @@ def sample_tree(
             salts = np.arange(1, a + 1, dtype=np.uint64) * _PHI
         child = _mix64(keys[:, None] ^ salts)
         alive = child < thr
-        masks.append(np.packbits(alive))
+        masks.append(np.packbits(alive).tobytes())
         keys = child[alive]
         counts.append(int(keys.shape[0]))
     return PercTree(params, seed, depth, tuple(masks), tuple(counts))

@@ -7,7 +7,9 @@ image panels of render from level_table rows.  The functions here take
 one word, one point or one box at a time: they walk its prefixes with
 child_index, build the rewritten word letter by letter, keep points as
 canonical ExactPoints and boxes as a set, and measure distances in
-Fractions, so the tests can compare the two paths.
+Fractions, so the tests can compare the two paths.  render_svg_reference
+writes every SVG rect with its own f-string, the reference for the
+package's vectorised '%.4f' writer.
 """
 
 from __future__ import annotations
@@ -18,11 +20,14 @@ from math import ceil
 
 import numpy as np
 
+from percoqs import substitution
+from percoqs.cli import _SVG_FILL, _SVG_IMAGE_FILL, _check_injective
 from percoqs.errors import DomainError, PreconditionError
 from percoqs.globalmap import GeomConfig, g
 from percoqs.lattice import (
     Params,
     Word,
+    corner_floats,
     label_to_offset,
     offset_to_label,
     validate_word,
@@ -349,3 +354,60 @@ def f_global(ftree: FlaggedTree, u, resolution: int) -> np.ndarray:
     gz = g(cfg, np.array([float(zk) for zk in z], dtype=np.float64))
     basef = np.array([float(b) for b in base], dtype=np.float64)
     return basef + float(scale) * gz
+
+
+def render_svg_reference(tree, levels, image=False, px=220, gap=14) -> str:
+    """One square panel per requested level; survivors (or their image
+    boxes) drawn as filled squares.  2-d trees only.
+
+    Both panel kinds read level_table: a survivor's cell has corner src
+    over M^level, its image cell corner img over M^(rewritten length).
+    Image boxes are drawn sorted by corner, then side.
+    """
+    params = tree.params
+    m = params.m
+    if params.d != 2:
+        raise DomainError(f"rendering is 2-d only, got d={params.d}")
+    # a depth-0 tree has no flags; its only level, the root, needs none
+    ftree = substitution.compute_flags(tree) if tree.depth else None
+    parts = []
+    width = len(levels) * (px + gap) + gap
+    height = px + 2 * gap
+    parts.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    )
+    for i, level in enumerate(levels):
+        x0 = gap + i * (px + gap)
+        y0 = gap
+        parts.append(
+            f'<rect x="{x0}" y="{y0}" width="{px}" height="{px}" '
+            f'fill="none" stroke="#222" stroke-width="1"/>'
+        )
+        if ftree is None:  # the root's image cell is the unit cube itself
+            src = img = np.zeros((1, 2), dtype=np.int64)
+            tilde = np.zeros(1, dtype=np.int64)
+        else:
+            src, img = substitution.level_table(ftree, level)
+            tilde = ftree.tilde_lengths[level]
+        if image:
+            nums, lengths, fill = img, tilde, _SVG_IMAGE_FILL
+            _check_injective(lengths, nums)
+            # a side 1/M^t is the corner of numerator 1, correctly rounded
+            ones = np.ones((nums.shape[0], 1), dtype=np.int64)
+            sides = corner_floats(m, ones, lengths)[:, 0]
+        else:
+            nums, lengths, fill = src, level, _SVG_FILL
+            sides = np.full(src.shape[0], m ** (-level))
+        rects = np.column_stack([corner_floats(m, nums, lengths), sides])
+        if image:
+            rects = rects[np.lexsort(rects.T[::-1])]
+        for cx, cy, side in rects.tolist():
+            # SVG's y axis points down; flip so the origin is bottom-left
+            parts.append(
+                f'<rect x="{x0 + cx * px:.4f}" y="{y0 + (1.0 - cy - side) * px:.4f}" '
+                f'width="{side * px:.4f}" height="{side * px:.4f}" fill="{fill}"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -3,14 +3,18 @@ printed summaries."""
 
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
 from argparse import Namespace
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from exact_oracle import image_cover
+from exact_oracle import image_cover, render_svg_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_substitution import _past_int64_tree
 
 from percoqs import analysis, substitution
@@ -21,6 +25,7 @@ from percoqs.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _finish_check,
+    _fixed4,
     build_parser,
     main,
     render_svg,
@@ -305,6 +310,126 @@ def test_render_rejects_3d():
 
     with pytest.raises(DomainError):
         render_svg(tree, [1])
+
+
+# --- the '%.4f' kernel and the reference renderer ------------------------------
+
+# the largest float whose '%.4f' the kernel writes: |x| * 10^4 < 2^63
+_FIXED4_EDGE = math.nextafter(2**63 / 10**4, 0.0)
+
+
+def _assert_same_lines(got, want):
+    """got == want, failing with the first differing line; a diff of
+    texts this long takes minutes."""
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        line = next(((g, w) for g, w in pairs if g != w), "differ in length")
+        pytest.fail(f"first differing line (got, want): {line}")
+
+
+def _assert_fixed4_matches(xs):
+    """The kernel's fields of xs equal '%.4f' % x, one per line."""
+    fields = _fixed4(np.asarray(xs, dtype=np.float64))
+    newline = np.full((*fields.shape[:-1], 1), ord("\n"), dtype=np.uint8)
+    rows = np.concatenate([fields, newline], axis=-1)
+    got = rows[rows != 0].tobytes().decode("ascii")
+    _assert_same_lines(got, "".join("%.4f\n" % x for x in xs))
+
+
+def test_fixed4_domain_edge():
+    assert Fraction(_FIXED4_EDGE) * 10**4 < 2**63
+    assert Fraction(math.nextafter(_FIXED4_EDGE, math.inf)) * 10**4 >= 2**63
+    xs = [_FIXED4_EDGE, -_FIXED4_EDGE, math.nextafter(_FIXED4_EDGE, 0.0)]
+    _assert_fixed4_matches(xs)
+
+
+def test_fixed4_ties_zeros_subnormals_and_negatives():
+    # k / 32 * 10^4 = k * 312.5: exact binary ties, which go to the even neighbour
+    xs = [k * 2.0**-j * f for j in range(1, 64) for k in range(1, 64, 2) for f in (1, 220)]
+    xs += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**-15, 2.0**-14]
+    # 5e-5 is a tie in decimal but not in binary; its neighbours sit at a shift of 63
+    xs += [math.nextafter(5e-5, t) for t in (0.0, math.inf)] + [5e-5, 1.5e-4, 2.5e-4]
+    xs += [-x for x in xs]
+    _assert_fixed4_matches(xs)
+
+
+def test_fixed4_integer_parts_up_to_the_domain_edge():
+    xs = []
+    for digits in range(1, 16):
+        for whole in (10 ** (digits - 1), 10**digits - 1, 9 * 10 ** (digits - 1) + 7):
+            for frac in (0.0, 0.00005, 0.00015, 0.5, 0.99994, 0.99995, 0.12345):
+                xs.append(whole + frac)
+    xs = [x for x in xs if x <= _FIXED4_EDGE]
+    assert len(str(int(max(xs)))) == 15
+    xs += [-x for x in xs]
+    _assert_fixed4_matches(xs)
+
+
+def test_fixed4_seeded_random_floats():
+    rng = np.random.default_rng(7)
+    xs = rng.random(10**5) * 10.0 ** rng.integers(-9, 15, 10**5)
+    xs[rng.random(10**5) < 0.5] *= -1
+    _assert_fixed4_matches(xs.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-_FIXED4_EDGE, max_value=_FIXED4_EDGE))
+def test_fixed4_matches_percent_format(x):
+    _assert_fixed4_matches([x])
+
+
+def _reference_tree(case):
+    if case == "past_int64":
+        return _past_int64_tree().tree
+    if case == "depth0":
+        return sample_tree(Params(m=3, d=2, p=0.7), 0, 0)
+    if case == "extinct":  # levels 3 and 4 hold 2 and 0 survivors
+        tree = sample_tree(Params(m=3, d=2, p=0.15), 4, 20)
+        assert tree.count(3) == 2 and tree.count(4) == 0
+        return tree
+    pr, depth, seed = {
+        "M3p45": (Params(m=3, d=2, p=0.45), 4, 17),
+        "M3p25": (Params(m=3, d=2, p=0.25), 6, 0),
+        "M4K2": (Params(m=4, d=2, p=0.3, k=2, eta=(16, 13)), 5, 2),
+        "M5": (Params(m=5, d=2, p=0.2), 4, 3),
+    }[case]
+    return sample_nonextinct(pr, depth, seed)[0]
+
+
+@pytest.mark.parametrize(
+    "case", ["M3p45", "M3p25", "M4K2", "M5", "past_int64", "depth0", "extinct"]
+)
+def test_render_svg_matches_reference(case):
+    tree = _reference_tree(case)
+    depth = tree.depth
+    # repeated and out of order, then every level
+    for levels in ([depth, min(1, depth), depth], list(range(depth + 1))):
+        for image in (False, True):
+            for px in (1, 97, 220, 10**6):
+                _assert_same_lines(
+                    render_svg(tree, levels, image=image, px=px),
+                    render_svg_reference(tree, levels, image=image, px=px),
+                )
+
+
+def test_render_canvas_width_guard(tmp_path, capsys):
+    tree_file = tmp_path / "t0.json"
+    assert main(["sample", "--depth", "0", "-o", str(tree_file)]) == EXIT_OK
+    tree = tree_from_json_dict(json.loads(tree_file.read_bytes()))
+    base = ["render", "--tree", str(tree_file), "--levels", "0", "--px"]
+    # one panel is px + 2 * 14 wide; coordinates are written while
+    # width * 10^4 < 2^63
+    widest = 2**63 // 10**4 - 28
+    inside = tmp_path / "inside.svg"
+    assert main(base + [str(widest), "-o", str(inside)]) == EXIT_OK
+    assert inside.read_text() == render_svg_reference(tree, [0], px=widest)
+    capsys.readouterr()
+    past = tmp_path / "past.svg"
+    assert main(base + [str(widest + 1), "-o", str(past)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("percoqs: parameter error: canvas width ")
+    assert err.count("\n") == 1
+    assert not past.exists()
 
 
 # --- image panels --------------------------------------------------------------
