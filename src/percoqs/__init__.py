@@ -3,8 +3,10 @@
 Samples Galton-Watson subdivision trees of the unit cube, rewrites
 surviving addresses by inserting a fixed interior word whenever a node
 loses all boundary children, and provides the closed-form growth
-exponents, the pointwise and global limit maps, and Monte Carlo
-cross-checks for all of it.
+exponents, the exact level tables of the rewritten corners, the global
+limit map, and Monte Carlo cross-checks for all of it.  Every name here
+is reached by a command; the one-word reference paths the tests
+check it against live in tests/exact_oracle.py.
 """
 
 from .errors import CapacityError, DomainError, PreconditionError
@@ -13,22 +15,17 @@ from .lattice import (
     corner_floats,
     default_eta,
     is_boundary_label,
-    label_to_offset,
-    offset_to_label,
     validate_label,
     validate_word,
 )
 from .percolation import (
     PercTree,
     derive_seed,
-    node_survives,
     sample_nonextinct,
     sample_tree,
-    subtree,
     survival_threshold,
     tree_from_json_dict,
     tree_from_words,
-    truncate,
 )
 from .substitution import (
     FlaggedTree,
@@ -36,13 +33,12 @@ from .substitution import (
     level_table,
     pair_ratios,
 )
-from .globalmap import GeomConfig, f_global, g, g_batch
+from .globalmap import GeomConfig, f_global, g_batch
 from .analysis import (
     DimFit,
     DimReport,
     EpsilonReport,
     MartingaleReport,
-    PartitionSum,
     QsScan,
     epsilon_table,
     estimate_dims,
@@ -50,7 +46,6 @@ from .analysis import (
     kappa_prime,
     level1_oracle,
     martingale_check,
-    partition_sum,
     qs_ratio_scan,
     solve_epsilon,
     solve_t,
@@ -69,7 +64,6 @@ __all__ = [
     "GeomConfig",
     "MartingaleReport",
     "Params",
-    "PartitionSum",
     "PercTree",
     "PreconditionError",
     "QsScan",
@@ -80,29 +74,22 @@ __all__ = [
     "epsilon_table",
     "estimate_dims",
     "f_global",
-    "g",
     "g_batch",
     "is_boundary_label",
     "kappa",
     "kappa_prime",
-    "label_to_offset",
     "level1_oracle",
     "level_table",
     "martingale_check",
-    "node_survives",
-    "offset_to_label",
     "pair_ratios",
-    "partition_sum",
     "qs_ratio_scan",
     "sample_nonextinct",
     "sample_tree",
     "solve_epsilon",
     "solve_t",
-    "subtree",
     "survival_threshold",
     "tree_from_json_dict",
     "tree_from_words",
-    "truncate",
     "validate_label",
     "validate_word",
     "zero_slope",

@@ -16,8 +16,12 @@ t solving p M^(d-t) kappa(t, K) = 1 is the zero-growth (dimension-
 upper-bound) exponent, sitting just below the untouched-tree exponent
 s = d + log p / log M.
 
+A level's histogram of rewritten-word lengths, np.bincount of
+tilde_lengths[n], is a sufficient statistic for Y_n^s at every s.
 Everything statistical here consumes frozen sampled trees and reports
-means, standard errors and z-scores against these closed forms.
+means, standard errors and z-scores against these closed forms.  Each
+result is a frozen dataclass, and report_json_bytes writes it as it
+stands, field by field.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
-from .lattice import Params, corner_floats
+from .lattice import Params, _json_ready, corner_floats
 from .percolation import derive_seed, sample_nonextinct
 from .substitution import FlaggedTree, compute_flags, level_table, pair_ratios
 
@@ -75,17 +78,6 @@ class DimReport:
     k: int
     residual: float
     warning: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s_hausdorff": self.s_hausdorff,
-            "t_upper": self.t_upper,
-            "kappa_at_t": self.kappa_at_t,
-            "gap": self.gap,
-            "K": self.k,
-            "residual": self.residual,
-            "warning": self.warning,
-        }
 
 
 def solve_t(params: Params, k: int | None = None) -> DimReport:
@@ -161,15 +153,6 @@ class EpsilonReport:
     epsilon: float
     residual: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.m,
-            "d": self.d,
-            "p_star": self.p_star,
-            "epsilon": self.epsilon,
-            "residual": self.residual,
-        }
-
 
 def solve_epsilon(m: int, d: int) -> EpsilonReport:
     """Bisection in p for d + log_M(p kappa_prime(p)) = 1 (needs d >= 2)."""
@@ -205,59 +188,6 @@ def solve_epsilon(m: int, d: int) -> EpsilonReport:
 
 def epsilon_table(cases=EPSILON_TABLE_CASES) -> list[EpsilonReport]:
     return [solve_epsilon(m, d) for m, d in cases]
-
-
-@dataclass(frozen=True)
-class PartitionSum:
-    """Y^s_n in exact form: the histogram of rewritten-word lengths at a
-    level is a sufficient statistic for every s."""
-
-    m: int
-    s: float
-    n: int
-    length_counts: tuple[tuple[int, int], ...]
-
-    @property
-    def survivor_count(self) -> int:
-        return sum(c for _, c in self.length_counts)
-
-    @property
-    def value(self) -> float:
-        return math.fsum(
-            c * self.m ** (-self.s * length) for length, c in self.length_counts
-        )
-
-    def as_fraction(self) -> Fraction:
-        """Exact value; defined when s is a nonnegative integer."""
-        s = int(self.s)
-        if s != self.s or s < 0:
-            raise DomainError(f"exact value needs integer s >= 0, got {self.s}")
-        return sum(
-            (Fraction(c, self.m ** (s * length)) for length, c in self.length_counts),
-            Fraction(0),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "n": self.n,
-            "value": self.value,
-            "survivors": self.survivor_count,
-            "length_counts": [[length, c] for length, c in self.length_counts],
-        }
-
-
-def partition_sum(ftree: FlaggedTree, s: float, n: int) -> PartitionSum:
-    """Sum of M^(-s |rewritten word|) over the survivors of level n."""
-    if s < 0:
-        raise DomainError(f"s must be >= 0, got {s}")
-    if not (0 <= n <= ftree.depth):
-        raise DomainError(f"level {n} outside 0..{ftree.depth}")
-    counts = np.bincount(ftree.tilde_lengths[n])
-    pairs = tuple(
-        (int(length), int(c)) for length, c in enumerate(counts) if c > 0
-    )
-    return PartitionSum(ftree.params.m, s, n, pairs)
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -321,22 +251,6 @@ class MartingaleReport:
     stderr: float
     ratio: float
     zscore: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "level_count": self.level_count,
-            "frozen_value": self.frozen_value,
-            "step_factor": self.step_factor,
-            "expected_mean": self.expected_mean,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "ratio": self.ratio,
-            "zscore": self.zscore,
-        }
 
 
 def martingale_check(
@@ -431,25 +345,6 @@ class DimFit:
     insertions: int
     widened: bool
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s_hat": self.s_hat,
-            "s_ci": list(self.s_ci),
-            "t_hat": self.t_hat,
-            "t_ci": list(self.t_ci) if self.t_ci is not None else None,
-            "s_hausdorff": self.s_hausdorff,
-            "t_upper": self.t_upper,
-            "trials": self.trials,
-            "depth": self.depth,
-            "n_range": list(self.n_range),
-            "s_grid": list(self.s_grid),
-            "seed": self.seed,
-            "rejections": self.rejections,
-            "insertions": self.insertions,
-            "widened": self.widened,
-            "converged": self.converged,
-        }
 
 
 def _hist_tensor(hists: list[list[np.ndarray]]) -> np.ndarray:
@@ -609,19 +504,6 @@ class QsScan:
     pair_ratio_max: float
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "triples": self.triples,
-            "degenerate": self.degenerate,
-            "coincident": self.coincident,
-            "c_emp": self.c_emp,
-            "bracket_bound": self.bracket_bound,
-            "pair_ratio_min": self.pair_ratio_min,
-            "pair_ratio_max": self.pair_ratio_max,
-            "seed": self.seed,
-        }
-
 
 def qs_ratio_scan(
     ftree: FlaggedTree, level: int, triples: int, seed: int, exact_pairs: int = 512
@@ -685,23 +567,13 @@ def qs_ratio_scan(
     )
 
 
-def _finite_or_null(obj):
-    """obj with every non-finite float replaced by None (JSON null)."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return obj
-
-
-def report_json_bytes(command: str, config: dict, results: dict, passed=None) -> bytes:
+def report_json_bytes(command: str, config: dict, results, passed=None) -> bytes:
     """Canonical percoqs-report/2 bytes; every report embeds the
     resolved configuration it ran (seeds included), so identical runs are
     byte-identical.  /2 names the hierarchical SplitMix64 sampling rule.
-    Non-finite floats (NaN, infinities) are written as null, so the bytes
-    are strict JSON."""
+    results is a dict or a report dataclass, written field by field in
+    field order (a report's m and k as M and K).  Non-finite floats (NaN,
+    infinities) are written as null, so the bytes are strict JSON."""
     obj = {
         "format": "percoqs-report/2",
         "command": command,
@@ -710,5 +582,5 @@ def report_json_bytes(command: str, config: dict, results: dict, passed=None) ->
     }
     if passed is not None:
         obj["pass"] = bool(passed)
-    text = json.dumps(_finite_or_null(obj), separators=(",", ":"), allow_nan=False)
+    text = json.dumps(_json_ready(obj), separators=(",", ":"), allow_nan=False)
     return (text + "\n").encode("ascii")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, globalmap, percolation, substitution
 from .errors import CapacityError, DomainError, PreconditionError
-from .lattice import Params, corner_floats
+from .lattice import Params, _json_ready, corner_floats
 from .percolation import DEFAULT_NODE_BUDGET, derive_seed
 
 EXIT_OK = 0
@@ -102,16 +102,7 @@ def _node_budget(args) -> int:
 
 
 def _config_dict(params: Params, args, **extra) -> dict:
-    cfg = {
-        "M": params.m,
-        "d": params.d,
-        "p": params.p,
-        "K": params.k,
-        "eta": list(params.eta),
-        "seed": args.seed,
-    }
-    cfg.update(extra)
-    return cfg
+    return {**_json_ready(params), "seed": args.seed, **extra}
 
 
 def _write_bytes(path: str | None, data: bytes) -> None:
@@ -123,7 +114,7 @@ def _write_bytes(path: str | None, data: bytes) -> None:
             fh.write(data)
 
 
-def _emit_report(args, command: str, config: dict, results: dict, passed=None):
+def _emit_report(args, command: str, config: dict, results, passed=None):
     if args.out is not None:
         _write_bytes(args.out, analysis.report_json_bytes(command, config, results, passed))
 
@@ -331,7 +322,7 @@ def cmd_solve_t(args) -> int:
     )
     if report.warning:
         print(f"warning: {report.warning}", file=sys.stderr)
-    _emit_report(args, "solve t", _config_dict(params, args), report.to_json_dict())
+    _emit_report(args, "solve t", _config_dict(params, args), report)
     return EXIT_OK
 
 
@@ -342,15 +333,12 @@ def cmd_solve_epsilon_table(args) -> int:
             f"M={r.m} d={r.d} p_star={r.p_star:.9f} epsilon={r.epsilon:.6f} "
             f"residual={r.residual:.3e}"
         )
-    if args.out:
-        _write_bytes(
-            args.out,
-            analysis.report_json_bytes(
-                "solve epsilon-table",
-                {"cases": [[m, d] for m, d in analysis.EPSILON_TABLE_CASES]},
-                {"rows": [r.to_json_dict() for r in reports]},
-            ),
-        )
+    _emit_report(
+        args,
+        "solve epsilon-table",
+        {"cases": analysis.EPSILON_TABLE_CASES},
+        {"rows": reports},
+    )
     return EXIT_OK
 
 
@@ -425,7 +413,7 @@ def cmd_check_martingale(args) -> int:
         args,
         "check martingale",
         _config_dict(params, args, depth=args.depth, s=s, n=n, trials=trials),
-        report.to_json_dict(),
+        report,
         passed,
         [f"one-step mean ratio={report.ratio:.6f} z={report.zscore:+.2f} "
          f"{'PASS' if passed else 'FAIL'}"],
@@ -452,7 +440,7 @@ def cmd_check_qs(args) -> int:
         scan = analysis.qs_ratio_scan(
             ftree, args.depth, triples, derive_seed(args.seed, "qs-scan", i)
         )
-        per_tree.append(scan.to_json_dict())
+        per_tree.append(scan)
         usable += scan.triples - scan.degenerate - scan.coincident
         c_emp = max(c_emp, scan.c_emp)
         rmin = min(rmin, scan.pair_ratio_min)
@@ -510,7 +498,7 @@ def cmd_check_dims(args) -> int:
         args,
         "check dims",
         _config_dict(params, args, depth=args.depth, trials=trials),
-        fit.to_json_dict(),
+        fit,
         passed,
         lines,
     )

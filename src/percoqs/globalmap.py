@@ -96,11 +96,6 @@ def g_batch(cfg: GeomConfig, points) -> np.ndarray:
     return out
 
 
-def g(cfg: GeomConfig, u) -> np.ndarray:
-    """g at a single point (shape (d,))."""
-    return g_batch(cfg, np.asarray(u, dtype=np.float64)[None, :])[0]
-
-
 def f_global(ftree: FlaggedTree, points, resolution: int) -> np.ndarray:
     """Extension of the corner map to an (n, d) array of float points, at
     a finite address resolution.

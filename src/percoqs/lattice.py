@@ -6,12 +6,15 @@ so that the cells touching the boundary of the cube come first, and one
 cached offset table per grid holds the label <-> offset map.  Words over
 the label alphabet address nested subcubes, and every finite word maps
 to the lower-left corner of its subcube.  All corner arithmetic is
-exact: a coordinate is an integer numerator over a power of M.
+exact: a coordinate is an integer numerator over a power of M.  The
+model parameters live here too, with _json_ready, the one encoder that
+writes them, and every report, as JSON values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +22,6 @@ import numpy as np
 from .errors import DomainError
 
 Word = tuple[int, ...]
-Offset = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -107,6 +109,26 @@ class Params:
         return boundary_label_count(self.m, self.d)
 
 
+# Field names that files and reports spell as the CLI flags do.
+_JSON_NAMES = {"m": "M", "k": "K"}
+
+
+def _json_ready(obj):
+    """obj as plain JSON values: a dataclass becomes a dict of its fields
+    in field order, m and k spelled M and K; tuples become lists; and
+    every non-finite float (NaN, infinities) becomes None (JSON null).
+    Params, tree headers and reports all go through it."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if is_dataclass(obj):
+        obj = {_JSON_NAMES.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    return obj
+
+
 def validate_label(params: Params, label: int) -> None:
     if not (1 <= label <= params.alphabet_size):
         raise DomainError(
@@ -118,19 +140,6 @@ def validate_label(params: Params, label: int) -> None:
 def validate_word(params: Params, word: Word) -> None:
     for lab in word:
         validate_label(params, lab)
-
-
-def label_to_offset(params: Params, label: int) -> Offset:
-    """Grid offset in {0..M-1}^d of a cell label."""
-    validate_label(params, label)
-    return tuple(label_offsets(params.m, params.d)[0][label - 1].tolist())
-
-
-def offset_to_label(params: Params, offset: Offset) -> int:
-    m, d = params.m, params.d
-    if len(offset) != d or not all(0 <= c < m for c in offset):
-        raise DomainError(f"offset {offset} outside the M={m} grid")
-    return int(label_offsets(m, d)[1][np.ravel_multi_index(tuple(offset), (m,) * d)])
 
 
 def corner_nums(params: Params, word: Word) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .lattice import Params, Word, validate_label, validate_word
+from .lattice import Params, Word, _json_ready, validate_label
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_REJECTION_BUDGET = 10**6
@@ -67,20 +67,6 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def _root_key(seed: int) -> np.ndarray:
     _validate_seed(seed)
     return _mix64(np.array([seed], dtype=np.uint64))
-
-
-def node_survives(seed: int, p: float, word: Word) -> bool:
-    """Survival verdict of one non-root node: the key folded down the
-    word, compared against floor(p * 2^64).  sample_tree applies the same
-    rule a whole level at a time."""
-    if len(word) < 1:
-        raise DomainError("the root always survives; need a word of length >= 1")
-    if min(word) < 1:
-        raise DomainError(f"labels start at 1, got {min(word)}")
-    key = _root_key(seed)
-    for salt in np.array(word, dtype=np.uint64)[:, None] * _PHI:
-        key = _mix64(key ^ salt)
-    return bool(key[0] < np.uint64(survival_threshold(p)))
 
 
 def derive_seed(master_seed: int, *parts: object) -> int:
@@ -148,52 +134,6 @@ class PercTree:
     def labels(self) -> tuple[np.ndarray, ...]:
         return self._links[1]
 
-    def child_range(self, level: int, index: int) -> tuple[int, int]:
-        """Slice [lo, hi) of level+1 holding the children of a node."""
-        if level >= self.depth:
-            raise DomainError(f"level {level} has no child level (depth {self.depth})")
-        par = self.parents[level + 1]
-        # a Python int key sends searchsorted on int32 down a path about
-        # six times slower than a key of the array's own type
-        key = np.int32(index)
-        return int(par.searchsorted(key, "left")), int(par.searchsorted(key, "right"))
-
-    def child_labels(self, level: int, index: int) -> tuple[int, ...]:
-        """Surviving child labels of a node, ascending."""
-        lo, hi = self.child_range(level, index)
-        return tuple(int(l) for l in self.labels[level + 1][lo:hi])
-
-    def child_index(self, level: int, index: int, label: int) -> int | None:
-        """Index of child 'label' of a node in level+1, or None if dead."""
-        lo, hi = self.child_range(level, index)
-        lab = self.labels[level + 1]
-        pos = lo + int(np.searchsorted(lab[lo:hi], label))
-        if pos < hi and int(lab[pos]) == label:
-            return pos
-        return None
-
-    def find(self, word: Word) -> int | None:
-        """Index of a word in its level, or None if it died."""
-        if len(word) > self.depth:
-            raise DomainError(f"word longer than sampled depth {self.depth}")
-        idx = 0
-        for level, lab in enumerate(word):
-            nxt = self.child_index(level, idx, lab)
-            if nxt is None:
-                return None
-            idx = nxt
-        return idx
-
-    def word_of(self, level: int, index: int) -> Word:
-        """Reconstruct the word of a node by walking parent links."""
-        out = []
-        k, i = level, index
-        while k > 0:
-            out.append(int(self.labels[k][i]))
-            i = int(self.parents[k][i])
-            k -= 1
-        return tuple(reversed(out))
-
     def prefix_nodes(self, level: int, nodes=None) -> list[np.ndarray]:
         """Node indices of every prefix of a level's nodes.
 
@@ -219,14 +159,9 @@ class PercTree:
         return out
 
     def to_json_dict(self) -> dict:
-        pr = self.params
         return {
             "format": _TREE_FORMAT,
-            "M": pr.m,
-            "d": pr.d,
-            "p": pr.p,
-            "K": pr.k,
-            "eta": list(pr.eta),
+            **_json_ready(self.params),
             "seed": self.seed,
             "depth": self.depth,
             "levels": [base64.b64encode(m).decode("ascii") for m in self.masks],
@@ -236,19 +171,6 @@ class PercTree:
         return (json.dumps(self.to_json_dict(), separators=(",", ":")) + "\n").encode(
             "ascii"
         )
-
-
-def _tree_from_links(params: Params, seed: int, parents, labels) -> PercTree:
-    """Pack the (parent index, label) arrays of levels 1, 2, ..., each
-    sorted by (parent, label), into a tree's level masks."""
-    a = params.alphabet_size
-    masks, counts = [], [1]
-    for par, lab in zip(parents, labels):
-        bits = np.zeros(counts[-1] * a, dtype=bool)
-        bits[par.astype(np.int64) * a + lab - 1] = True
-        masks.append(np.packbits(bits).tobytes())
-        counts.append(int(lab.shape[0]))
-    return PercTree(params, seed, len(masks), tuple(masks), tuple(counts))
 
 
 def _word_rows(params: Params, words, k: int) -> np.ndarray:
@@ -287,7 +209,8 @@ def tree_from_words(
     order is irrelevant.  A level's nodes are keyed by their (parent
     index, label) code, which ascends with the lexicographic order, so a
     word's prefix is found by descending from the root through each
-    level's codes.
+    level's codes, and bit (parent index, label) of the level's mask is
+    set.
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
@@ -297,8 +220,9 @@ def tree_from_words(
         )
     if _word_rows(params, survivors[0], 0).shape[0] != 1:
         raise DomainError("level 0 must contain exactly the empty word")
-    base = params.alphabet_size + 1
-    parents, labels = [], []
+    a = params.alphabet_size
+    base = a + 1
+    masks, counts = [], [1]
     codes = [np.zeros(1, dtype=np.int64)]
     for k in range(1, depth + 1):
         rows = _word_rows(params, survivors[k], k)
@@ -316,10 +240,12 @@ def tree_from_words(
         if dead.size:
             w = tuple(rows[dead[0]].tolist())
             raise DomainError(f"word {w} has a dead prefix {w[:-1]}")
-        parents.append(par)
-        labels.append(rows[:, -1])
+        bits = np.zeros(counts[-1] * a, dtype=bool)
+        bits[par * a + rows[:, -1] - 1] = True
+        masks.append(np.packbits(bits).tobytes())
+        counts.append(rows.shape[0])
         codes.append(par * base + rows[:, -1])
-    return _tree_from_links(params, seed, parents, labels)
+    return PercTree(params, seed, depth, tuple(masks), tuple(counts))
 
 
 def _json_int(value, key: str) -> int:
@@ -452,6 +378,7 @@ def sample_nonextinct(
     """
     if max_attempts < 1:
         raise DomainError(f"max_attempts must be >= 1, got {max_attempts}")
+    _validate_seed(seed)
     for attempt in range(max_attempts):
         tree = sample_tree(
             params, depth, (seed + attempt) % _TWO64, node_budget=node_budget
@@ -466,40 +393,4 @@ def sample_nonextinct(
         )
     raise CapacityError(
         f"no tree with depth-{depth} survivors in {max_attempts} attempts{hint}"
-    )
-
-
-def subtree(tree: PercTree, word: Word) -> PercTree:
-    """The subtree rooted at a surviving word, re-rooted as its own tree.
-
-    Descendants of a node are contiguous per level (lexicographic
-    order), so extraction is a chain of sorted-range lookups.  The seed
-    is carried over for provenance only; the subtree is not a fresh
-    sample of it.
-    """
-    word = tuple(word)
-    validate_word(tree.params, word)
-    idx = tree.find(word)
-    if idx is None:
-        raise DomainError(f"word {word} is not a survivor of this tree")
-    n = len(word)
-    parents, labels = [], []
-    lo, hi = idx, idx + 1
-    for k in range(n + 1, tree.depth + 1):
-        par = tree.parents[k]
-        new_lo = int(np.searchsorted(par, lo, side="left"))
-        new_hi = int(np.searchsorted(par, hi, side="left"))
-        # parent ids re-base against the previous level's slice start
-        parents.append(par[new_lo:new_hi] - lo)
-        labels.append(tree.labels[k][new_lo:new_hi])
-        lo, hi = new_lo, new_hi
-    return _tree_from_links(tree.params, tree.seed, parents, labels)
-
-
-def truncate(tree: PercTree, depth: int) -> PercTree:
-    """Restrict a sampled tree to a smaller depth (levels are shared)."""
-    if not (0 <= depth <= tree.depth):
-        raise DomainError(f"depth {depth} outside 0..{tree.depth}")
-    return PercTree(
-        tree.params, tree.seed, depth, tree.masks[:depth], tree.counts[: depth + 1]
     )

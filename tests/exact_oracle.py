@@ -5,11 +5,13 @@ whole level at a time (substitution.level_table and pair_ratios), the
 global map a whole point array at a time (globalmap.f_global), and the
 image panels of render from level_table rows.  The functions here take
 one word, one point or one box at a time: they walk its prefixes with
-child_index, build the rewritten word letter by letter, keep points as
+child_index, one sorted lookup per letter and never the package's
+prefix_nodes, build the rewritten word letter by letter, keep points as
 canonical ExactPoints and boxes as a set, and measure distances in
-Fractions, so the tests can compare the two paths.  render_svg_reference
-writes every SVG rect with its own f-string, the reference for the
-package's vectorised '%.4f' writer.
+Fractions, so the tests can compare the two paths.  subtree and truncate
+cut a tree down for the self-similarity and truncation contracts.
+render_svg_reference writes every SVG rect with its own f-string, the
+reference for the package's vectorised '%.4f' writer.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ import numpy as np
 from percoqs import substitution
 from percoqs.cli import _SVG_FILL, _SVG_IMAGE_FILL, _check_injective
 from percoqs.errors import DomainError, PreconditionError
-from percoqs.globalmap import GeomConfig, g
+from percoqs.globalmap import GeomConfig, g_batch
 from percoqs.lattice import (
     Params,
     Word,
     corner_floats,
-    label_to_offset,
-    offset_to_label,
+    label_offsets,
     validate_word,
 )
+from percoqs.percolation import PercTree, tree_from_words
 from percoqs.substitution import FlaggedTree, level_table
 
 
@@ -102,9 +104,10 @@ def pi_finite(params: Params, word: Word) -> ExactPoint:
     an exact point at level len(word).
     """
     validate_word(params, word)
+    offsets = label_offsets(params.m, params.d)[0]
     nums = [0] * params.d
     for lab in word:
-        off = label_to_offset(params, lab)
+        off = offsets[lab - 1].tolist()
         for k in range(params.d):
             nums[k] = nums[k] * params.m + off[k]
     return ExactPoint(params.m, len(word), tuple(nums))
@@ -135,6 +138,82 @@ class Box:
 def words(tree, level: int) -> list[Word]:
     """All surviving words of a level, in node order."""
     return [tuple(w) for w in tree.label_matrix(level).tolist()]
+
+
+def _child_range(tree, level: int, index: int) -> tuple[int, int]:
+    """Slice [lo, hi) of level+1 holding the children of a node."""
+    if level >= tree.depth:
+        raise DomainError(f"level {level} has no child level (depth {tree.depth})")
+    par = tree.parents[level + 1]
+    # a Python int key sends searchsorted on int32 down a path about
+    # six times slower than a key of the array's own type
+    key = np.int32(index)
+    return int(par.searchsorted(key, "left")), int(par.searchsorted(key, "right"))
+
+
+def child_labels(tree, level: int, index: int) -> tuple[int, ...]:
+    """Surviving child labels of a node, ascending."""
+    lo, hi = _child_range(tree, level, index)
+    return tuple(int(l) for l in tree.labels[level + 1][lo:hi])
+
+
+def child_index(tree, level: int, index: int, label: int) -> int | None:
+    """Index of child 'label' of a node in level+1, or None if dead."""
+    lo, hi = _child_range(tree, level, index)
+    lab = tree.labels[level + 1]
+    pos = lo + int(np.searchsorted(lab[lo:hi], label))
+    if pos < hi and int(lab[pos]) == label:
+        return pos
+    return None
+
+
+def find(tree, word: Word) -> int | None:
+    """Index of a word in its level, or None if it died."""
+    if len(word) > tree.depth:
+        raise DomainError(f"word longer than sampled depth {tree.depth}")
+    idx = 0
+    for level, lab in enumerate(word):
+        nxt = child_index(tree, level, idx, lab)
+        if nxt is None:
+            return None
+        idx = nxt
+    return idx
+
+
+def subtree(tree, word: Word) -> PercTree:
+    """The subtree rooted at a surviving word, re-rooted as its own tree.
+
+    Descendants of a node are contiguous per level (lexicographic
+    order), so each level's suffix words are the previous level's,
+    extended by one label over a sorted range.  The seed is carried over
+    for provenance only; the subtree is not a fresh sample of it.
+    """
+    word = tuple(word)
+    validate_word(tree.params, word)
+    idx = find(tree, word)
+    if idx is None:
+        raise DomainError(f"word {word} is not a survivor of this tree")
+    lo, hi = idx, idx + 1
+    rows = np.zeros((1, 0), dtype=np.int64)
+    levels = [rows]
+    for k in range(len(word) + 1, tree.depth + 1):
+        par = tree.parents[k]
+        new_lo, new_hi = np.searchsorted(par, [lo, hi]).tolist()
+        rows = np.column_stack(
+            [rows[par[new_lo:new_hi] - lo], tree.labels[k][new_lo:new_hi]]
+        )
+        levels.append(rows)
+        lo, hi = new_lo, new_hi
+    return tree_from_words(tree.params, len(levels) - 1, levels, seed=tree.seed)
+
+
+def truncate(tree, depth: int) -> PercTree:
+    """Restrict a sampled tree to a smaller depth (levels are shared)."""
+    if not (0 <= depth <= tree.depth):
+        raise DomainError(f"depth {depth} outside 0..{tree.depth}")
+    return PercTree(
+        tree.params, tree.seed, depth, tree.masks[:depth], tree.counts[: depth + 1]
+    )
 
 
 def word_meet(i: Word, j: Word) -> Word:
@@ -207,7 +286,7 @@ def _walk_prefix_nodes(ftree: FlaggedTree, word: Word) -> list[int]:
         )
     nodes = [0]
     for n in range(len(word) - 1):
-        nxt = ftree.tree.child_index(n, nodes[-1], word[n])
+        nxt = child_index(ftree.tree, n, nodes[-1], word[n])
         if nxt is None:
             raise PreconditionError(
                 f"prefix {word[: n + 1]} did not survive; substitution undefined"
@@ -242,7 +321,7 @@ def f_point(ftree: FlaggedTree, word: Word) -> ExactPoint:
     word."""
     word = tuple(word)
     tw = tilde(ftree, word)
-    if word and ftree.tree.find(word) is None:
+    if word and find(ftree.tree, word) is None:
         raise PreconditionError(f"word {word} did not survive; corner has no image")
     return pi_finite(ftree.params, tw.labels)
 
@@ -288,6 +367,7 @@ def madic_address(
         raise DomainError("point outside [0,1]^d")
     word = []
     m = params.m
+    label_of = label_offsets(m, params.d)[1]
     for _ in range(digits):
         offs = []
         for k in range(params.d):
@@ -295,7 +375,7 @@ def madic_address(
             dig = max(0, ceil(scaled) - 1)
             offs.append(dig)
             v[k] = scaled - dig
-        word.append(offset_to_label(params, tuple(offs)))
+        word.append(int(label_of[np.ravel_multi_index(offs, (m,) * params.d)]))
     return tuple(word), tuple(v)
 
 
@@ -325,7 +405,7 @@ def f_global(ftree: FlaggedTree, u, resolution: int) -> np.ndarray:
     n = 0
     idx = 0
     for lab in word:
-        nxt = ftree.tree.child_index(n, idx, lab)
+        nxt = child_index(ftree.tree, n, idx, lab)
         if nxt is None:
             break
         n += 1
@@ -341,8 +421,8 @@ def f_global(ftree: FlaggedTree, u, resolution: int) -> np.ndarray:
 
     if n < resolution:
         nb = params.n_boundary
-        child_labels = ftree.tree.child_labels(n, idx)
-        boundary_child_alive = any(lab <= nb for lab in child_labels)
+        alive = child_labels(ftree.tree, n, idx)
+        boundary_child_alive = any(lab <= nb for lab in alive)
     else:
         boundary_child_alive = True  # full survival: pure rescale branch
 
@@ -351,7 +431,7 @@ def f_global(ftree: FlaggedTree, u, resolution: int) -> np.ndarray:
             [float(b + scale * zk) for b, zk in zip(base, z)], dtype=np.float64
         )
     cfg = GeomConfig(params)
-    gz = g(cfg, np.array([float(zk) for zk in z], dtype=np.float64))
+    gz = g_batch(cfg, np.array([[float(zk) for zk in z]], dtype=np.float64))[0]
     basef = np.array([float(b) for b in base], dtype=np.float64)
     return basef + float(scale) * gz
 

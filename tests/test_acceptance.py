@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracle import f_point, pi_finite, tilde
+from exact_oracle import f_point, pi_finite, subtree, tilde, truncate, words
 
 from percoqs.analysis import (
     epsilon_table,
@@ -21,14 +21,8 @@ from percoqs.analysis import (
 )
 from percoqs.cli import main
 from percoqs.globalmap import GeomConfig, f_global, g_batch
-from percoqs.lattice import Params, label_to_offset
-from percoqs.percolation import (
-    derive_seed,
-    sample_nonextinct,
-    sample_tree,
-    subtree,
-    truncate,
-)
+from percoqs.lattice import Params, label_offsets
+from percoqs.percolation import derive_seed, sample_nonextinct, sample_tree
 from percoqs.substitution import compute_flags
 
 P7 = Params(m=3, d=2, p=0.7)
@@ -165,10 +159,7 @@ def _int_corners(tree, level):
     """Integer lattice corners (coordinates * M^level) of the level's
     survivors."""
     pr = tree.params
-    offs = np.array(
-        [label_to_offset(pr, l) for l in range(1, pr.alphabet_size + 1)],
-        dtype=np.int64,
-    )
+    offs = label_offsets(pr.m, pr.d)[0]
     chain = [None] * (level + 1)
     chain[level] = np.arange(tree.count(level))
     for n in range(level, 0, -1):
@@ -224,9 +215,10 @@ def test_criterion_08_structural_invariants():
             injective &= np.unique(codes[n]).size == codes[n].size
         base = pr.alphabet_size + 1
 
+        deepest = tree.label_matrix(depth)
         for _ in range(5):
             idx = int(rng.integers(0, tree.count(depth)))
-            w = tree.word_of(depth, idx)
+            w = tuple(deepest[idx].tolist())
             # the vectorized codes match the one-word rewriter
             tw = tilde(ftree, w).labels
             horner = 0
@@ -241,6 +233,7 @@ def test_criterion_08_structural_invariants():
 
         # face-adjacent survivors keep touching image boxes
         level = min(3, depth)
+        level_words = words(tree, level)
         coords = _int_corners(tree, level)
         lookup = {tuple(c): j for j, c in enumerate(coords.tolist())}
         found = 0
@@ -257,7 +250,7 @@ def test_criterion_08_structural_invariants():
                 pairs_checked += 1
                 boxes = []
                 for idx2 in (j, other):
-                    tw = tilde(ftree, tree.word_of(level, idx2)).labels
+                    tw = tilde(ftree, level_words[idx2]).labels
                     lo = pi_finite(pr, tw).as_fractions()
                     side = Fraction(1, pr.m ** len(tw))
                     boxes.append((lo, side))
@@ -316,10 +309,11 @@ def test_criterion_09_global_map():
         f_exact &= np.array_equal(f_global(ftree, edges, 4), edges)
         for level in range(1, 5):
             count = tree.count(level)
-            words = [tree.word_of(level, int(j))
-                     for j in rng.integers(0, count, size=min(50, count))]
-            us = np.array([pi_finite(P7, w).to_floats() for w in words])
-            want = np.array([f_point(ftree, w).to_floats() for w in words])
+            level_words = words(tree, level)
+            pick = rng.integers(0, count, size=min(50, count))
+            picked = [level_words[j] for j in pick]
+            us = np.array([pi_finite(P7, w).to_floats() for w in picked])
+            want = np.array([f_point(ftree, w).to_floats() for w in picked])
             diff = f_global(ftree, us, level) - want
             corner_err = max(corner_err, float(np.abs(diff).max()))
     ok = (g_exact and f_exact and branch_err <= 1e-12

@@ -10,6 +10,11 @@ import pytest
 
 from percoqs.analysis import (
     EPSILON_TABLE_CASES,
+    DimFit,
+    DimReport,
+    EpsilonReport,
+    MartingaleReport,
+    QsScan,
     _one_generation,
     epsilon_table,
     estimate_dims,
@@ -17,7 +22,6 @@ from percoqs.analysis import (
     kappa_prime,
     level1_oracle,
     martingale_check,
-    partition_sum,
     qs_ratio_scan,
     report_json_bytes,
     solve_epsilon,
@@ -198,34 +202,38 @@ def test_level1_oracle_special_cases():
 # --- partition sums ------------------------------------------------------------
 
 
+def partition_sum(ftree, s, n):
+    """Y^s_n = sum of M^(-s |rewritten word|) over the level-n survivors,
+    from the histogram of rewritten lengths, a sufficient statistic."""
+    counts = np.bincount(ftree.tilde_lengths[n]).tolist()
+    m = ftree.params.m
+    return math.fsum(c * m ** (-s * length) for length, c in enumerate(counts) if c)
+
+
+def partition_sum_exact(ftree, s, n):
+    """Y^s_n as a Fraction, for an integer s >= 0."""
+    counts = np.bincount(ftree.tilde_lengths[n]).tolist()
+    m = ftree.params.m
+    return sum((Fraction(c, m ** (s * length)) for length, c in enumerate(counts)),
+               Fraction(0))
+
+
 def test_partition_sum_hand_tree_exact():
     ft = compute_flags(HAND)
-    assert partition_sum(ft, 0.0, 1).value == 2.0
-    assert partition_sum(ft, 1.0, 1).as_fraction() == Fraction(2, 3)
+    assert partition_sum(ft, 0.0, 1) == 2.0
+    assert partition_sum_exact(ft, 1, 1) == Fraction(2, 3)
     # the single level-2 survivor picked up one K=1 insertion
-    y2 = partition_sum(ft, 1.0, 2)
-    assert y2.as_fraction() == Fraction(1, 27)
-    assert y2.length_counts == ((3, 1),)
-    assert y2.survivor_count == 1
+    assert partition_sum_exact(ft, 1, 2) == Fraction(1, 27)
+    assert np.bincount(ft.tilde_lengths[2]).tolist() == [0, 0, 0, 1]
 
 
 def test_partition_sum_full_tree_power_law():
     ft = compute_flags(sample_tree(P_NEAR_ONE, 3, 0))
     for n in range(4):
         for s in (0.5, 1.0, 2.0):
-            assert partition_sum(ft, s, n).value == pytest.approx(
+            assert partition_sum(ft, s, n) == pytest.approx(
                 3.0 ** ((2 - s) * n), rel=1e-12
             )
-
-
-def test_partition_sum_rejects_bad_args():
-    ft = compute_flags(HAND)
-    with pytest.raises(DomainError):
-        partition_sum(ft, -1.0, 1)
-    with pytest.raises(DomainError):
-        partition_sum(ft, 1.0, 3)
-    with pytest.raises(DomainError):
-        partition_sum(ft, 0.5, 1).as_fraction()
 
 
 def test_mean_partition_sum_matches_power_of_step_factor():
@@ -234,7 +242,7 @@ def test_mean_partition_sum_matches_power_of_step_factor():
     trees = [compute_flags(sample_tree(pr, 3, seed)) for seed in range(400)]
     for s in (0.5, 1.5):
         factor = pr.p * 3 ** (2 - s) * kappa(pr, s)
-        vals = np.array([partition_sum(ft, s, 3).value for ft in trees])
+        vals = np.array([partition_sum(ft, s, 3) for ft in trees])
         z = (vals.mean() - factor**3) / (vals.std(ddof=1) / 20.0)
         assert abs(z) <= 3.0
 
@@ -405,3 +413,74 @@ def test_report_json_bytes_shape():
     assert "pass" not in json.loads(report_json_bytes("x", {}, {}))
     raw = report_json_bytes("x", {}, {"a": math.nan, "b": [-math.inf, (1.5, math.inf)]})
     assert raw.endswith(b'"results":{"a":null,"b":[null,[1.5,null]]}}\n')
+
+
+# Each report class with literal fields, non-finite floats, None, tuples
+# and a warning string, and the bytes that each report's own hand-written
+# serialiser gave before the reports shared one encoder.
+_NAN, _INF = math.nan, math.inf
+FROZEN_REPORTS = [
+    (("solve t", {"M": 3, "d": 2, "p": 0.05, "K": 1, "eta": [9], "seed": 0},
+      DimReport(s_hausdorff=-0.7267951360972264, t_upper=_NAN, kappa_at_t=_INF,
+                gap=-0.0, k=2, residual=1e-300,
+                warning='p=0.05 <= M^-d=0.111111: "quoted" \u00e9'), None),
+     b'{"format":"percoqs-report/2","command":"solve t","config":{"M":3,"d":2,'
+     b'"p":0.05,"K":1,"eta":[9],"seed":0},"results":{"s_hausdorff":'
+     b'-0.7267951360972263,"t_upper":null,"kappa_at_t":null,"gap":-0.0,"K":2,'
+     b'"residual":1e-300,"warning":"p=0.05 <= M^-d=0.111111: \\"quoted\\" '
+     b'\\u00e9"}}\n'),
+    (("solve epsilon-table", {"cases": [[3, 2]]},
+      EpsilonReport(m=4, d=3, p_star=0.1 + 0.2, epsilon=-_INF, residual=_NAN), None),
+     b'{"format":"percoqs-report/2","command":"solve epsilon-table","config":'
+     b'{"cases":[[3,2]]},"results":{"M":4,"d":3,"p_star":0.30000000000000004,'
+     b'"epsilon":null,"residual":null}}\n'),
+    (("check martingale", {"M": 5, "seed": 2**64 - 1},
+      MartingaleReport(s=1.25, n=3, trials=100, seed=2**64 - 1, level_count=7,
+                       frozen_value=1.5e-17, step_factor=0.9999999999999999,
+                       expected_mean=_INF, mean=-_INF, stderr=0.0, ratio=_NAN,
+                       zscore=_INF), True),
+     b'{"format":"percoqs-report/2","command":"check martingale","config":'
+     b'{"M":5,"seed":18446744073709551615},"results":{"s":1.25,"n":3,'
+     b'"trials":100,"seed":18446744073709551615,"level_count":7,'
+     b'"frozen_value":1.5e-17,"step_factor":0.9999999999999999,'
+     b'"expected_mean":null,"mean":null,"stderr":0.0,"ratio":null,'
+     b'"zscore":null},"pass":true}\n'),
+    (("check qs", {"M": 3, "d": 2},
+      QsScan(level=4, triples=2000, degenerate=3, coincident=0, c_emp=12.5,
+             bracket_bound=81.0, pair_ratio_min=_INF, pair_ratio_max=-_INF,
+             seed=123456789), False),
+     b'{"format":"percoqs-report/2","command":"check qs","config":{"M":3,"d":2},'
+     b'"results":{"level":4,"triples":2000,"degenerate":3,"coincident":0,'
+     b'"c_emp":12.5,"bracket_bound":81.0,"pair_ratio_min":null,'
+     b'"pair_ratio_max":null,"seed":123456789},"pass":false}\n'),
+    (("check dims", {"M": 3, "trials": 30},
+      DimFit(s_hat=1.6, s_ci=(1.5, _NAN), t_hat=None, t_ci=None,
+             s_hausdorff=1.6753404748720375, t_upper=1.675, trials=30, depth=3,
+             n_range=(1, 2, 3), s_grid=(1.3, 1.35, _INF), seed=0, rejections=11,
+             insertions=0, widened=True, converged=False), False),
+     b'{"format":"percoqs-report/2","command":"check dims","config":{"M":3,'
+     b'"trials":30},"results":{"s_hat":1.6,"s_ci":[1.5,null],"t_hat":null,'
+     b'"t_ci":null,"s_hausdorff":1.6753404748720375,"t_upper":1.675,'
+     b'"trials":30,"depth":3,"n_range":[1,2,3],"s_grid":[1.3,1.35,null],'
+     b'"seed":0,"rejections":11,"insertions":0,"widened":true,'
+     b'"converged":false},"pass":false}\n'),
+    (("check dims", {"M": 3, "trials": 31},
+      DimFit(s_hat=1.6, s_ci=(1.5, 1.7), t_hat=1.55, t_ci=(1.4, 1.625),
+             s_hausdorff=1.6753404748720375, t_upper=1.675, trials=31, depth=6,
+             n_range=(2, 4, 6), s_grid=(1.3,), seed=7, rejections=0,
+             insertions=5, widened=False, converged=True), True),
+     b'{"format":"percoqs-report/2","command":"check dims","config":{"M":3,'
+     b'"trials":31},"results":{"s_hat":1.6,"s_ci":[1.5,1.7],"t_hat":1.55,'
+     b'"t_ci":[1.4,1.625],"s_hausdorff":1.6753404748720375,"t_upper":1.675,'
+     b'"trials":31,"depth":6,"n_range":[2,4,6],"s_grid":[1.3],"seed":7,'
+     b'"rejections":0,"insertions":5,"widened":false,"converged":true},'
+     b'"pass":true}\n'),
+]
+
+
+@pytest.mark.parametrize("case, want", FROZEN_REPORTS,
+                         ids=["DimReport", "EpsilonReport", "MartingaleReport",
+                              "QsScan", "DimFit-unconverged", "DimFit"])
+def test_report_bytes_frozen(case, want):
+    command, config, report, passed = case
+    assert report_json_bytes(command, config, report, passed) == want

@@ -15,9 +15,10 @@ import pytest
 from exact_oracle import image_cover, render_svg_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_analysis import partition_sum_exact
 from test_substitution import _past_int64_tree
 
-from percoqs import analysis, substitution
+from percoqs import substitution
 from percoqs.cli import (
     EXIT_CAPACITY,
     EXIT_CHECK_FAILED,
@@ -114,7 +115,11 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
                   ["sample", "--depth", "1", "--node-budget", "-1"],
                   # the outcome table's binomials pass the float range
                   ["check", "oracle", "--M", "5", "--d", "5"],
-                  ["check", "martingale", "--M", "5", "--d", "5", "--depth", "1"]]
+                  ["check", "martingale", "--M", "5", "--d", "5", "--depth", "1"],
+                  # seeds outside [0, 2^64) are refused, never wrapped
+                  ["sample", "--seed", "-1", "--depth", "2", "--nonextinct"],
+                  ["check", "martingale", "--seed", "-1", "--depth", "2"],
+                  ["check", "global", "--seed", str(2**64), "--depth", "2"]]
     for name, text in bad_files.items():
         (tmp_path / name).write_text(text)
         bad_inputs.append(["render", "--tree", str(tmp_path / name), "--levels", "1"])
@@ -159,6 +164,11 @@ def test_io_error_exit_3(tmp_path, capsys):
     assert main(["sample", "--depth", "2", "--out", missing]) == EXIT_IO
     assert main(["render", "--tree", str(tmp_path / "absent.json")]) == EXIT_IO
     capsys.readouterr()
+    # an empty --out names no file, for every report alike
+    for argv in (["solve", "t"], ["solve", "epsilon-table"], ["check", "oracle"]):
+        assert main([*argv, "-o", ""]) == EXIT_IO, argv
+        err = capsys.readouterr().err
+        assert err.startswith("percoqs: io: ") and err.count("\n") == 1
 
 
 def test_finish_check_exit_codes(capsys):
@@ -482,7 +492,7 @@ def test_image_panel_levels_and_partition_sum_agree():
     assert _image_widths(svg) == sorted(f"{220 / 3**t:.4f}" for t in tl)
     for s in (0, 1, 2):
         total = sum((Fraction(1, 3**t) ** s for t in tl), Fraction(0))
-        assert total == analysis.partition_sum(ft, s, 4).as_fraction()
+        assert total == partition_sum_exact(ft, s, 4)
 
 
 @pytest.mark.parametrize("pr, depth, seed, insertions", [
@@ -702,6 +712,27 @@ def test_check_reports_are_deterministic(tmp_path, capsys):
         assert main(argv) == EXIT_OK
         blobs.append(report.read_bytes())
     assert blobs[0] == blobs[1]
+    capsys.readouterr()
+
+
+def test_rng_free_report_bytes_frozen(tmp_path, capsys):
+    # these reports draw no random numbers, so numpy's stream policy
+    # cannot move them; digests recorded before the reports shared one
+    # encoder
+    want = {
+        ("solve", "t"):
+            "deaea119b5b9b912553c10c20bcaad28a3cb06a2519309090da2d385a5bf43ad",
+        ("solve", "kappa", "--s", "1"):
+            "0da49cec9802df7a12defa3c6324f5c0e92a701e5cf2ee39254182d3f0a36605",
+        ("solve", "epsilon-table"):
+            "4966f2791502ac4876b78fd5155e1f404e8becb78bc3ea058cda6e7a4613ebd8",
+        ("check", "oracle"):
+            "771e25e31ebc7d10e3f4da9bd8761cf8dbf9f05a8a0f4e84716b2687c47cacb3",
+    }
+    report = tmp_path / "report.json"
+    for argv, digest in want.items():
+        assert main([*argv, "-o", str(report)]) == EXIT_OK
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, argv
     capsys.readouterr()
 
 

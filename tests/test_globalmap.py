@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracle import f_global as f_global_point, f_point, madic_address, pi_finite
+from exact_oracle import (
+    f_global as f_global_point,
+    f_point,
+    madic_address,
+    pi_finite,
+    words,
+)
 
 from percoqs.errors import DomainError, PreconditionError
-from percoqs.globalmap import (
-    GeomConfig,
-    f_global,
-    g,
-    g_batch,
-)
-from percoqs.lattice import Params, offset_to_label
+from percoqs.globalmap import GeomConfig, f_global, g_batch
+from percoqs.lattice import Params, label_offsets
 from percoqs.percolation import sample_nonextinct, sample_tree, tree_from_words
 from percoqs.substitution import compute_flags
 
@@ -24,6 +25,11 @@ P42 = Params(m=4, d=2, p=0.7)
 P_NEAR_ONE = Params(m=3, d=2, p=1.0 - 2.0**-53)
 CFG3 = GeomConfig(P32)
 CFG4 = GeomConfig(P42)
+
+
+def g(cfg, u):
+    """g at a single point (shape (d,))."""
+    return g_batch(cfg, np.asarray(u, dtype=np.float64)[None, :])[0]
 
 
 # --- geometry config ---------------------------------------------------------
@@ -211,9 +217,9 @@ def test_f_global_matches_f_point_on_corners():
     ft = compute_flags(tree)
     rng = np.random.default_rng(9)
     for level in range(1, 5):
-        count = tree.count(level)
-        for i in rng.integers(0, count, size=20):
-            w = tree.word_of(level, int(i))
+        ws = words(tree, level)
+        for i in rng.integers(0, len(ws), size=20):
+            w = ws[i]
             u = np.array(pi_finite(P32, w).to_floats())
             expect = np.array(f_point(ft, w).to_floats())
             assert np.array_equal(f_global(ft, u[None, :], level)[0], expect)
@@ -268,7 +274,7 @@ def test_f_global_tie_rule_matches_oracle():
     # a dead one (through g, rounded per operation), so a wrong tie rule
     # changes the last bit of some rows whose y uses all 53 bits.
     params = Params(m=6, d=2, p=0.5)
-    only = offset_to_label(params, (2, 2))
+    only = int(label_offsets(6, 2)[1][np.ravel_multi_index((2, 2), (6, 6))])
     ft = compute_flags(tree_from_words(params, 1, [[()], [(only,)]]))
     rng = np.random.default_rng(14)
     face = np.column_stack([np.full(1000, 0.5), rng.uniform(1 / 3, 0.5, 1000)])

@@ -18,8 +18,7 @@ from percoqs.lattice import (
     default_eta,
     is_boundary_label,
     label_offsets,
-    label_to_offset,
-    offset_to_label,
+    validate_label,
     validate_word,
 )
 
@@ -36,19 +35,21 @@ def grid_params():
 
 @pytest.mark.parametrize("pr", grid_params(), ids=lambda p: f"M{p.m}d{p.d}")
 def test_label_offset_bijection_exhaustive(pr):
+    offsets, labels = label_offsets(pr.m, pr.d)
     seen = set()
     for lab in range(1, pr.alphabet_size + 1):
-        off = label_to_offset(pr, lab)
-        assert offset_to_label(pr, off) == lab
+        off = tuple(offsets[lab - 1].tolist())
+        assert labels[np.ravel_multi_index(off, (pr.m,) * pr.d)] == lab
         seen.add(off)
     assert len(seen) == pr.alphabet_size
 
 
 @pytest.mark.parametrize("pr", grid_params(), ids=lambda p: f"M{p.m}d{p.d}")
 def test_boundary_label_characterization(pr):
+    offsets = label_offsets(pr.m, pr.d)[0]
     n_b = 0
     for lab in range(1, pr.alphabet_size + 1):
-        off = label_to_offset(pr, lab)
+        off = offsets[lab - 1].tolist()
         touches = any(c in (0, pr.m - 1) for c in off)
         assert is_boundary_label(pr, lab) == touches
         n_b += touches
@@ -73,16 +74,14 @@ def test_label_order_frozen_m3d2():
     expected = [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2), (1, 1),
     ]
-    assert [label_to_offset(P32, l) for l in range(1, 10)] == expected
+    assert [tuple(off) for off in label_offsets(3, 2)[0].tolist()] == expected
 
 
 def test_label_out_of_range():
     with pytest.raises(DomainError):
-        label_to_offset(P32, 0)
+        validate_label(P32, 0)
     with pytest.raises(DomainError):
-        label_to_offset(P32, 10)
-    with pytest.raises(DomainError):
-        offset_to_label(P32, (3, 0))
+        validate_label(P32, 10)
     with pytest.raises(DomainError):
         validate_word(P32, (1, 99))
 
@@ -115,7 +114,8 @@ def test_offset_table_and_default_eta_match_enumeration(m, d):
 def test_default_eta():
     assert default_eta(3, 2) == (9,)
     assert default_eta(4, 2, 2) == (16, 16)
-    assert offset_to_label(Params(m=5, d=2, p=0.5), (2, 2)) == default_eta(5, 2)[0]
+    center = np.ravel_multi_index((2, 2), (5, 5))
+    assert label_offsets(5, 2)[1][center] == default_eta(5, 2)[0]
 
 
 def test_params_validation():

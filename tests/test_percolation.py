@@ -4,21 +4,17 @@ import json
 
 import numpy as np
 import pytest
-from exact_oracle import words
+from exact_oracle import child_labels, find, subtree, truncate, words
 
 from percoqs.errors import CapacityError, DomainError
 from percoqs.lattice import Params
 from percoqs.percolation import (
-    PercTree,
     derive_seed,
-    node_survives,
     sample_nonextinct,
     sample_tree,
-    subtree,
     survival_threshold,
     tree_from_json_dict,
     tree_from_words,
-    truncate,
 )
 
 P32 = Params(m=3, d=2, p=0.7)
@@ -46,32 +42,44 @@ def _reference_key(seed, word):
     return key
 
 
+def _survives(seed, p, word):
+    # a non-root node lives iff its key is below floor(p * 2^64)
+    return _reference_key(seed, word) < int(p * 2.0**64)
+
+
+def _check_verdicts(tree):
+    # every live node's children are exactly its reference survivors
+    a = tree.params.alphabet_size
+    for k in range(tree.depth):
+        for w in words(tree, k):
+            live = {j for j in range(1, a + 1)
+                    if _survives(tree.seed, tree.params.p, w + (j,))}
+            assert set(child_labels(tree, k, find(tree, w))) == live
+
+
 def test_node_survives_validation():
-    with pytest.raises(DomainError):
-        node_survives(42, 0.5, ())
-    with pytest.raises(DomainError):
-        node_survives(42, 0.5, (9, 0))
-    with pytest.raises(DomainError):
-        node_survives(-1, 0.5, (9,))
-    with pytest.raises(DomainError):
-        node_survives(2**64, 0.5, (9,))
+    # keys are defined for seeds in [0, 2^64); neither sampler wraps others
+    for seed in (-1, 2**64):
+        with pytest.raises(DomainError):
+            sample_tree(P32, 1, seed)
+        with pytest.raises(DomainError):
+            sample_nonextinct(P32, 1, seed)
 
 
 def test_node_survives_matches_reference_key():
-    words = [(9,), (9, 3), (1, 2, 3), (7,) * 8, (81,) * 3]
+    # labels up to 81 (M=3, d=4) and the extreme seeds and thresholds
     for seed in (0, 42, 2**64 - 1):
-        for word in words:
-            u = _reference_key(seed, word)
-            for p in (0.001, 0.25, 0.5, 0.75, 0.999):
-                assert node_survives(seed, p, word) == (u < int(p * 2.0**64))
+        for p in (0.001, 0.25, 0.5, 0.75, 0.999):
+            _check_verdicts(sample_tree(Params(m=3, d=2, p=p), 2, seed))
+            _check_verdicts(sample_tree(Params(m=3, d=4, p=p), 1, seed))
 
 
 def test_node_survives_frozen_verdict():
     # key(42, (9,)) = 3532799907163358599, about 0.1915 * 2^64, so the
     # node lives at p=0.2 and dies at p=0.19
     assert _reference_key(42, (9,)) == 3532799907163358599
-    assert node_survives(42, 0.2, (9,))
-    assert not node_survives(42, 0.19, (9,))
+    assert 9 in child_labels(sample_tree(Params(m=3, d=2, p=0.2), 1, 42), 0, 0)
+    assert 9 not in child_labels(sample_tree(Params(m=3, d=2, p=0.19), 1, 42), 0, 0)
 
 
 def test_survival_threshold_edges():
@@ -118,22 +126,18 @@ def test_sampled_tree_structure():
         assert np.all(np.diff(lab)[same] > 0)
         assert par.min() >= 0 and par.max() < t.count(k - 1)
         assert 1 <= lab.min() and lab.max() <= 9
-    # the label matrix enumerates in sorted order and agrees with find/word_of
+    # the label matrix enumerates in sorted order and agrees with the
+    # one-word walk down the child ranges
     for k in range(5):
         ws = words(t, k)
         assert ws == sorted(ws)
         for i, w in enumerate(ws):
-            assert t.find(w) == i
-            assert t.word_of(k, i) == w
+            assert find(t, w) == i
 
 
 def test_every_sampled_node_matches_its_verdict():
-    t = sample_tree(P32, 3, 99)
     # every live node survives, and every child it lacks dies
-    for k in range(3):
-        for w in words(t, k):
-            live = {j for j in range(1, 10) if node_survives(99, 0.7, w + (j,))}
-            assert set(t.child_labels(k, t.find(w))) == live
+    _check_verdicts(sample_tree(P32, 3, 99))
 
 
 def test_truncate_equals_shallower_sample():
@@ -223,7 +227,7 @@ def test_subtree_words_are_suffixes():
         u + (j,)
         for u in words(t, 1)
         for j in range(1, 10)
-        if j not in t.child_labels(1, t.find(u))
+        if j not in child_labels(t, 1, find(t, u))
     )
     with pytest.raises(DomainError):
         subtree(t, dead)
@@ -310,7 +314,7 @@ def test_tree_from_words_validation():
         tree_from_words(P32, 1, [[(1,)], [(1, 1)]])  # bad level 0
     t = tree_from_words(P32, 2, [[()], [(9,), (3,)], [(3, 1), (9, 9)]])
     assert words(t, 1) == [(3,), (9,)]
-    assert t.child_labels(1, t.find((9,))) == (9,)
+    assert child_labels(t, 1, find(t, (9,))) == (9,)
     assert words(tree_from_json_dict(json.loads(t.to_canonical_bytes())), 2) == [
         (3, 1),
         (9, 9),

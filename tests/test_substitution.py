@@ -8,7 +8,9 @@ from exact_oracle import (
     comparability_ratio,
     dist_max,
     f_point,
+    find,
     pi_finite,
+    subtree,
     tilde,
     words,
 )
@@ -22,7 +24,6 @@ from percoqs.percolation import (
     derive_seed,
     sample_nonextinct,
     sample_tree,
-    subtree,
     tree_from_words,
 )
 from percoqs.substitution import compute_flags, level_table, pair_ratios
@@ -52,14 +53,14 @@ def test_flags_hand_tree():
     ft = hand_tree_root_unflagged()
     t = ft.tree
     assert not ft.flags[0][0]  # root: boundary child 3 alive
-    assert bool(ft.flags[1][t.find((9,))])  # only interior child
-    assert bool(ft.flags[1][t.find((3,))])  # childless: vacuously flagged
+    assert bool(ft.flags[1][find(t, (9,))])  # only interior child
+    assert bool(ft.flags[1][find(t, (3,))])  # childless: vacuously flagged
 
 
 def test_flags_root_flagged_tree():
     ft = hand_tree_root_flagged()
     assert bool(ft.flags[0][0])
-    assert not ft.flags[1][ft.tree.find((9,))]
+    assert not ft.flags[1][find(ft.tree, (9,))]
 
 
 def test_flags_full_tree_all_false():
@@ -246,7 +247,7 @@ def test_property_level_table_images_distinct(ft):
 @given(ft=_flagged_trees(), data=st.data())
 def test_property_splitting_identity(ft, data):
     tree = ft.tree
-    w = tree.word_of(ft.depth, data.draw(st.integers(0, tree.count(ft.depth) - 1)))
+    w = words(tree, ft.depth)[data.draw(st.integers(0, tree.count(ft.depth) - 1))]
     whole = tilde(ft, w).labels
     for c in range(1, len(w)):
         sub = compute_flags(subtree(tree, w[:c]))
@@ -264,13 +265,10 @@ def _check_level_table(ft, with_codes=True):
     codes = _tilde_codes(ft) if with_codes else None
     for level in range(ft.depth + 1):
         src, img = level_table(ft, level)
-        rows = tree.label_matrix(level)
         assert src.shape == img.shape == (tree.count(level), pr.d)
         assert np.array_equal(src, _int_corners(tree, level))
-        for i in range(tree.count(level)):
-            w = tree.word_of(level, i)
+        for i, w in enumerate(words(tree, level)):
             tw = tilde(ft, w).labels
-            assert tuple(rows[i].tolist()) == w
             assert ft.tilde_lengths[level][i] == len(tw)
             assert tuple(src[i].tolist()) == pi_finite(pr, w).nums_at_level(level)
             assert tuple(img[i].tolist()) == pi_finite(pr, tw).nums_at_level(len(tw))
