@@ -29,13 +29,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
 from .lattice import Params, _json_ready, corner_floats
 from .percolation import derive_seed, sample_nonextinct
-from .substitution import FlaggedTree, compute_flags, level_table, pair_ratios
+from .substitution import FlaggedTree, _pair_ratio_terms, compute_flags, level_table
 
 BISECT_ITERATIONS = 200
 
@@ -552,8 +553,18 @@ def qs_ratio_scan(
         r_out = d_out_xy / d_out_xz
         control = np.maximum(r_in, r_in ** (pr.k + 1))
         c_emp = float((r_out / control).max())
-        exact = [float(r) for r in pair_ratios(ftree, level, kept[:exact_pairs, :2])]
-        rmin, rmax = min(exact, default=rmin), max(exact, default=rmax)
+        num, den = _pair_ratio_terms(ftree, level, kept[:exact_pairs, :2])
+        if num:
+            # the extremes by exact cross-multiplication (denominators are
+            # positive); rounding is monotone, so only these two are rounded
+            lo = hi = 0
+            for j in range(1, len(num)):
+                if num[j] * den[lo] < num[lo] * den[j]:
+                    lo = j
+                elif num[j] * den[hi] > num[hi] * den[j]:
+                    hi = j
+            rmin = float(Fraction(num[lo], den[lo]))
+            rmax = float(Fraction(num[hi], den[hi]))
     return QsScan(
         level=level,
         triples=triples,

@@ -547,8 +547,8 @@ def cmd_check_global(args) -> int:
     pairs = rng.random((n_pairs, 2, params.d))
     gx = globalmap.g_batch(cfg, pairs[:, 0])
     gy = globalmap.g_batch(cfg, pairs[:, 1])
-    din = np.max(np.abs(pairs[:, 0] - pairs[:, 1]), axis=1)
-    dout = np.max(np.abs(gx - gy), axis=1)
+    din = globalmap._row_max_abs(pairs[:, 0] - pairs[:, 1])
+    dout = globalmap._row_max_abs(gx - gy)
     keep = din > 0
     ratios = dout[keep] / din[keep]
     bracket = float(ratios.max() / ratios.min())

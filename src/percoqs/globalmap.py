@@ -65,9 +65,20 @@ class GeomConfig:
 
 
 def _check_unit_cube(U: np.ndarray, tol: float) -> np.ndarray:
-    if np.any(U < -tol) or np.any(U > 1.0 + tol):
+    # one min/max pass; written so that NaN, which fails every
+    # comparison, is refused too
+    if U.size and not (U.min() >= -tol and U.max() <= 1.0 + tol):
         raise DomainError("point outside [0,1]^d beyond tolerance")
     return np.clip(U, 0.0, 1.0)
+
+
+def _row_max_abs(a: np.ndarray) -> np.ndarray:
+    """max_j |a[:, j]| of an (n, d) array, by a loop over its d columns:
+    numpy reduces a short axis 1 far slower, and the maximum is exact."""
+    r = np.abs(a[:, 0])
+    for j in range(1, a.shape[1]):
+        np.maximum(r, np.abs(a[:, j]), out=r)
+    return r
 
 
 def g_batch(cfg: GeomConfig, points) -> np.ndarray:
@@ -76,23 +87,23 @@ def g_batch(cfg: GeomConfig, points) -> np.ndarray:
     if U.ndim != 2 or U.shape[1] != cfg.params.d:
         raise DomainError(f"expected shape (n, {cfg.params.d}), got {U.shape}")
     U = _check_unit_cube(U, _EDGE_TOL)
-    out = np.empty_like(U)
-
-    on_edge = np.any((U == 0.0) | (U == 1.0), axis=1)
-    out[on_edge] = U[on_edge]  # boundary fixed exactly, by branch
 
     diff = U - 0.5
-    r = np.max(np.abs(diff), axis=1)
-    inner = (~on_edge) & (r <= cfg.inner_half)
-    out[inner] = cfg.eta_corner + cfg.eta_scale * U[inner]
-
-    outer = ~(on_edge | inner)
-    if np.any(outer):
-        rr = r[outer][:, None]
-        x = 0.5 + diff[outer] / (2.0 * rr)
+    r = _row_max_abs(diff)
+    # both branches over every row; the outer one divides by r = 0 at the
+    # centre, a lane the inner branch takes
+    inner = cfg.eta_corner + cfg.eta_scale * U
+    rr = r[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = 0.5 + diff / (2.0 * rr)
         t = np.maximum(0.5 * cfg.params.m * (1.0 - 2.0 * rr), 0.0)
         gx = cfg.eta_corner + cfg.eta_scale * (0.5 + cfg.core_ratio * (x - 0.5))
-        out[outer] = (1.0 - t) * x + t * gx
+        out = np.where(rr <= cfg.inner_half, inner, (1.0 - t) * x + t * gx)
+
+    on_edge = (U[:, 0] == 0.0) | (U[:, 0] == 1.0)
+    for j in range(1, U.shape[1]):
+        on_edge |= (U[:, j] == 0.0) | (U[:, j] == 1.0)
+    out[on_edge] = U[on_edge]  # boundary fixed exactly, by branch, last
     return out
 
 

@@ -106,17 +106,13 @@ def level_table(
     return src, img
 
 
-def pair_ratios(ftree: FlaggedTree, level: int, pairs) -> list[Fraction]:
-    """Exact distortion of the corner map between pairs of a level's
-    nodes, rescaled by the rewriting of their meet:
-
-        dist(f(x), f(y)) * M^(|rewritten meet| - |meet|) / dist(corner(x), corner(y))
-
-    pairs is an (n, 2) array of node indices of the level; a pair of
-    equal nodes raises.  The meet's length is the number of levels >= 1
-    where the two prefix chains agree.  Numerators and denominators are
-    Python integers, so rows past int64 stay exact.
-    """
+def _pair_ratio_terms(
+    ftree: FlaggedTree, level: int, pairs
+) -> tuple[list[int], list[int]]:
+    """pair_ratios' exact ratios as Python-int numerators and
+    denominators (N, D), not reduced.  The per-pair maxima are taken in
+    level_table's dtype: int64 rows stay below M^(longest rewritten
+    length) < 2^63 after scaling, and object rows hold Python ints."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise DomainError("a pair must join two distinct nodes")
@@ -133,14 +129,29 @@ def pair_ratios(ftree: FlaggedTree, level: int, pairs) -> list[Fraction]:
         meet_len[agree] = ftree.tilde_lengths[k][xs[agree]]
     shift = meet_len - meet + level
     src, img = level_table(ftree, level, flat)
-    src, img = src.tolist(), img.tolist()
-    t = ftree.tilde_lengths[level][flat].tolist()
-    out = []
-    for j, e in enumerate(shift.tolist()):
-        x, y = 2 * j, 2 * j + 1
-        top = max(t[x], t[y])
-        ux, uy = m ** (top - t[x]), m ** (top - t[y])
-        num = max(abs(a * ux - b * uy) for a, b in zip(img[x], img[y]))
-        den = max(abs(a - b) for a, b in zip(src[x], src[y]))
-        out.append(Fraction(num * m**e, den * m**top))
-    return out
+    t = ftree.tilde_lengths[level][flat]
+    tx, ty = t[0::2], t[1::2]
+    top = np.maximum(tx, ty)
+    # both images over M^top: img * M^(top - t) < M^top
+    ux = (m ** (top - tx).astype(img.dtype))[:, None]
+    uy = (m ** (top - ty).astype(img.dtype))[:, None]
+    num = np.abs(img[0::2] * ux - img[1::2] * uy).max(axis=1)
+    den = np.abs(src[0::2] - src[1::2]).max(axis=1)
+    return (
+        [a * m**e for a, e in zip(num.tolist(), shift.tolist())],
+        [b * m**e for b, e in zip(den.tolist(), top.tolist())],
+    )
+
+
+def pair_ratios(ftree: FlaggedTree, level: int, pairs) -> list[Fraction]:
+    """Exact distortion of the corner map between pairs of a level's
+    nodes, rescaled by the rewriting of their meet:
+
+        dist(f(x), f(y)) * M^(|rewritten meet| - |meet|) / dist(corner(x), corner(y))
+
+    pairs is an (n, 2) array of node indices of the level; a pair of
+    equal nodes raises.  The meet's length is the number of levels >= 1
+    where the two prefix chains agree.  Numerators and denominators are
+    Python integers, so rows past int64 stay exact.
+    """
+    return [Fraction(a, b) for a, b in zip(*_pair_ratio_terms(ftree, level, pairs))]

@@ -8,7 +8,8 @@ one word, one point or one box at a time: they walk its prefixes with
 child_index, one sorted lookup per letter and never the package's
 prefix_nodes, build the rewritten word letter by letter, keep points as
 canonical ExactPoints and boxes as a set, and measure distances in
-Fractions, so the tests can compare the two paths.  subtree and truncate
+Fractions, so the tests can compare the two paths.  g_batch_reference
+is the package's earlier g, branch by masked branch.  subtree and truncate
 cut a tree down for the self-similarity and truncation contracts.
 render_svg_reference writes every SVG rect with its own f-string, the
 reference for the package's vectorised '%.4f' writer.
@@ -25,7 +26,7 @@ import numpy as np
 from percoqs import substitution
 from percoqs.cli import _SVG_FILL, _SVG_IMAGE_FILL, _check_injective
 from percoqs.errors import DomainError, PreconditionError
-from percoqs.globalmap import GeomConfig, g_batch
+from percoqs.globalmap import _EDGE_TOL, GeomConfig, _check_unit_cube
 from percoqs.lattice import (
     Params,
     Word,
@@ -431,9 +432,39 @@ def f_global(ftree: FlaggedTree, u, resolution: int) -> np.ndarray:
             [float(b + scale * zk) for b, zk in zip(base, z)], dtype=np.float64
         )
     cfg = GeomConfig(params)
-    gz = g_batch(cfg, np.array([[float(zk) for zk in z]], dtype=np.float64))[0]
+    gz = g_batch_reference(
+        cfg, np.array([[float(zk) for zk in z]], dtype=np.float64)
+    )[0]
     basef = np.array([float(b) for b in base], dtype=np.float64)
     return basef + float(scale) * gz
+
+
+def g_batch_reference(cfg: GeomConfig, points) -> np.ndarray:
+    """Apply g to an (n, d) array of points: the package's earlier
+    g_batch, with axis-1 reductions and one masked branch at a time, kept
+    as the bit-for-bit reference of the column-wise one."""
+    U = np.asarray(points, dtype=np.float64)
+    if U.ndim != 2 or U.shape[1] != cfg.params.d:
+        raise DomainError(f"expected shape (n, {cfg.params.d}), got {U.shape}")
+    U = _check_unit_cube(U, _EDGE_TOL)
+    out = np.empty_like(U)
+
+    on_edge = np.any((U == 0.0) | (U == 1.0), axis=1)
+    out[on_edge] = U[on_edge]  # boundary fixed exactly, by branch
+
+    diff = U - 0.5
+    r = np.max(np.abs(diff), axis=1)
+    inner = (~on_edge) & (r <= cfg.inner_half)
+    out[inner] = cfg.eta_corner + cfg.eta_scale * U[inner]
+
+    outer = ~(on_edge | inner)
+    if np.any(outer):
+        rr = r[outer][:, None]
+        x = 0.5 + diff[outer] / (2.0 * rr)
+        t = np.maximum(0.5 * cfg.params.m * (1.0 - 2.0 * rr), 0.0)
+        gx = cfg.eta_corner + cfg.eta_scale * (0.5 + cfg.core_ratio * (x - 0.5))
+        out[outer] = (1.0 - t) * x + t * gx
+    return out
 
 
 def render_svg_reference(tree, levels, image=False, px=220, gap=14) -> str:

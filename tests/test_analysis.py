@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_substitution import _past_int64_tree
 
 from percoqs.analysis import (
     EPSILON_TABLE_CASES,
@@ -36,7 +37,7 @@ from percoqs.percolation import (
     sample_tree,
     tree_from_words,
 )
-from percoqs.substitution import compute_flags
+from percoqs.substitution import compute_flags, pair_ratios
 
 P_HALF = Params(m=3, d=2, p=0.5)
 P_NEAR_ONE = Params(m=3, d=2, p=1.0 - 2.0**-53)
@@ -387,6 +388,52 @@ def test_qs_scan_real_tree_under_bracket():
     assert 0.0 < scan.c_emp <= scan.bracket_bound
     assert 0.0 < scan.pair_ratio_min <= scan.pair_ratio_max
     assert scan.pair_ratio_max / scan.pair_ratio_min <= scan.bracket_bound
+
+
+def _scan_extremes_reference(ft, level, triples, seed):
+    """min and max of the rounded exact ratios of the pairs qs_ratio_scan
+    measures: (x, y) of its first 512 usable triples."""
+    picks = np.random.default_rng(seed).integers(
+        0, ft.tree.count(level), size=(triples, 3)
+    )
+    kept = picks[(picks[:, 0] != picks[:, 2]) & (picks[:, 0] != picks[:, 1])]
+    exact = [float(r) for r in pair_ratios(ft, level, kept[:512, :2])]
+    return min(exact), max(exact)
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_qs_scan_exact_extremes_depth_8(i):
+    pr = Params(m=3, d=2, p=0.4)
+    tree, _ = sample_nonextinct(pr, 8, derive_seed(0, "qs", i))
+    ft = compute_flags(tree)
+    scan = qs_ratio_scan(ft, 8, triples=2000, seed=i)
+    want = _scan_extremes_reference(ft, 8, 2000, i)
+    assert (scan.pair_ratio_min, scan.pair_ratio_max) == want
+    assert want[0] < want[1]
+
+
+# rewritten corners 5^-28 apart collide in binary64, so the float part of
+# the scan divides by zero; the exact extremes do not use those floats
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_qs_scan_exact_extremes_past_int64():
+    ft = _past_int64_tree()
+    scan = qs_ratio_scan(ft, 7, triples=300, seed=3)
+    assert (scan.pair_ratio_min, scan.pair_ratio_max) == _scan_extremes_reference(
+        ft, 7, 300, 3
+    )
+
+
+def test_qs_scan_exact_extremes_tied():
+    # root flagged: the four pairs across it have ratio 1/4, the two
+    # within (13,) and (14,) have ratio 1
+    pr = Params(m=4, d=2, p=0.7)
+    ft = compute_flags(tree_from_words(
+        pr, 2, [[()], [(13,), (14,)], [(13, 1), (13, 2), (14, 1), (14, 16)]]
+    ))
+    scan = qs_ratio_scan(ft, 2, triples=200, seed=0)
+    assert (scan.pair_ratio_min, scan.pair_ratio_max) == (0.25, 1.0)
+    assert _scan_extremes_reference(ft, 2, 200, 0) == (0.25, 1.0)
 
 
 def test_qs_scan_preconditions():

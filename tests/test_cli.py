@@ -12,13 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracle import image_cover, render_svg_reference
+from exact_oracle import g_batch_reference, image_cover, render_svg_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_analysis import partition_sum_exact
 from test_substitution import _past_int64_tree
 
-from percoqs import substitution
+from percoqs import globalmap, substitution
 from percoqs.cli import (
     EXIT_CAPACITY,
     EXIT_CHECK_FAILED,
@@ -647,6 +647,16 @@ def test_check_dims_runs(capsys):
     assert "t_hat < s_hat: PASS" in out
 
 
+@pytest.mark.xfail(strict=True, reason="t_hat - s_hat = +1.67e-5 at this seed: "
+                   "sampling noise the OLS slope check cannot yet tell from a gap")
+def test_check_dims_false_failure_seed_269000000(capsys):
+    # variant 269 of the benchmark's verify dims op at seed 0; 1 failure in
+    # 1,800 scanned variants, so a powered estimator should turn it green
+    argv = ["check", "dims", "--p", "0.5", "--depth", "6", "--trials", "100",
+            "--seed", "269000000"]
+    assert main(argv) == EXIT_OK
+
+
 def test_check_dims_fails_without_insertions(tmp_path, capsys):
     # at p just below 1 no cell loses its boundary children, so nothing is
     # rewritten and t_hat - s_hat is rounding noise
@@ -701,6 +711,21 @@ def test_check_global_runs(tmp_path, capsys):
     obj = json.loads(report.read_bytes())
     assert obj["results"]["boundary_identity_max"] == 0.0
     assert obj["results"]["bilipschitz_bracket"] <= 27.0
+
+
+def test_check_global_report_bytes_with_reference_g_batch(tmp_path, capsys,
+                                                          monkeypatch):
+    # the column-wise g_batch writes the report byte for byte as the
+    # earlier masked one, through every gate and the corner-map agreement
+    argv = ["check", "global", "--depth", "5", "--trials", "20000", "-o"]
+    blobs = []
+    for i, g in enumerate((globalmap.g_batch, g_batch_reference)):
+        monkeypatch.setattr(globalmap, "g_batch", g)
+        report = tmp_path / f"global{i}.json"
+        assert main([*argv, str(report)]) == EXIT_OK
+        blobs.append(report.read_bytes())
+    assert blobs[0] == blobs[1]
+    capsys.readouterr()
 
 
 def test_check_reports_are_deterministic(tmp_path, capsys):

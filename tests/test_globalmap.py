@@ -9,6 +9,7 @@ import pytest
 from exact_oracle import (
     f_global as f_global_point,
     f_point,
+    g_batch_reference,
     madic_address,
     pi_finite,
     words,
@@ -152,6 +153,68 @@ def test_g_outside_cube_rejected():
         g(CFG3, [1.2, 0.5])
     with pytest.raises(DomainError):
         g_batch(CFG3, np.array([[0.5, -0.1]]))
+    # NaN fails every comparison, so it must not slip through the check
+    with pytest.raises(DomainError):
+        g_batch(CFG3, np.array([[np.nan, 0.5]]))
+    with pytest.raises(DomainError):
+        g_batch(CFG3, np.array([[0.25, 0.5], [0.5, np.nan]]))
+
+
+def test_empty_point_arrays_keep_their_shape():
+    ft = compute_flags(sample_tree(P32, 3, 0))
+    empty = np.empty((0, 2))
+    assert g_batch(CFG3, empty).shape == (0, 2)
+    assert f_global(ft, empty, 3).shape == (0, 2)
+
+
+def _assert_same_bits(cfg, pts):
+    got = g_batch(cfg, pts)
+    assert got.tobytes() == g_batch_reference(cfg, pts).tobytes()
+
+
+@pytest.mark.parametrize("m, d, k", [(3, 2, 1), (4, 2, 1), (5, 2, 2), (3, 3, 1),
+                                     (4, 3, 2)])
+def test_g_batch_matches_reference_bit_for_bit(m, d, k):
+    cfg = GeomConfig(Params(m=m, d=d, p=0.5, k=k))
+    rng = np.random.default_rng(1000 * m + 10 * d + k)
+    _assert_same_bits(cfg, rng.random((100_000, d)))
+
+    # edge rows, exactly on a face, and the centre, where r = 0; cubing
+    # gives the other coordinates bits below 2^-53, which the outer
+    # formula would not carry through 0.5 + (u - 0.5)
+    edge = rng.random((500, d)) ** 3
+    edge[np.arange(500), rng.integers(0, d, 500)] = rng.integers(0, 2, 500)
+    centre = np.full((3, d), 0.5)
+    _assert_same_bits(cfg, np.concatenate([edge, centre, np.eye(d), 1.0 - np.eye(d)]))
+
+    # exactly on the core shell, r == inner_half, and one ulp either side;
+    # 0.5 +- inner_half itself may round off the shell, so search next to it
+    h = cfg.inner_half
+    near = np.array([0.5 - h, 0.5 + h])
+    on = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, 1.0)])
+    on = on[np.abs(on - 0.5) == h]
+    assert on.size
+    shell = 0.5 + (rng.random((500, d)) - 0.5) * cfg.core_ratio
+    face = np.arange(500) % d
+    shell[np.arange(500), face] = on[np.arange(500) % on.size]
+    assert np.array_equal(np.abs(shell - 0.5).max(axis=1), np.full(500, h))
+    _assert_same_bits(cfg, shell)
+    _assert_same_bits(cfg, np.nextafter(shell, 0.5))
+    _assert_same_bits(cfg, np.nextafter(shell, np.where(shell < 0.5, 0.0, 1.0)))
+
+    # within the 1e-12 tolerance outside the cube, clipped onto the boundary
+    out = rng.random((500, d))
+    slack = 1e-12 * rng.random(500)
+    out[np.arange(500), face] = np.where(face % 2, -slack, 1.0 + slack)
+    out[::2, 0] = np.where(np.arange(250) % 2, -1e-12, 1.0 + 1e-12)
+    _assert_same_bits(cfg, out)
+
+    # subnormals and the smallest normals, next to the boundary
+    tiny = rng.random((500, d))
+    tiny[:, 0] = np.float64(5e-324) * rng.integers(1, 2**40, 500)
+    tiny[1::5, 0] *= -1.0  # inside the tolerance, clipped to 0
+    tiny[::3, -1] = 1.0 - np.float64(2.0**-53) * rng.integers(1, 4, 167)
+    _assert_same_bits(cfg, tiny)
 
 
 # --- addresses -----------------------------------------------------------------
@@ -196,6 +259,8 @@ def test_f_global_resolution_bounds():
         f_global(ft, np.array([0.5, 0.5]), 3)  # one point is a (1, d) array
     with pytest.raises(DomainError):
         f_global(ft, np.array([[0.5, 1.1]]), 3)
+    with pytest.raises(DomainError):
+        f_global(ft, np.array([[np.nan, 0.5]]), 3)
 
 
 def test_f_global_boundary_identity_exact():
