@@ -516,6 +516,8 @@ def qs_ratio_scan(
     c_emp is the largest image ratio divided by the control shape;
     triples with x = z carry no ratio and are skipped (counted), pairs
     with y = x contribute zero distances and are excluded from c_emp.
+    c_emp is inf or nan, without a warning, when image corners of
+    distinct survivors collide in binary64.
     Also tracks the exact two-point distortion range over the first
     `exact_pairs` usable (x, y) pairs.
     """
@@ -544,15 +546,18 @@ def qs_ratio_scan(
         rows = np.searchsorted(nodes, kept)
         xs, ys, zs = rows[:, 0], rows[:, 1], rows[:, 2]
         # distinct survivors have distinct corners and (the rewriting is
-        # injective) distinct images, so every kept distance is positive
+        # injective) distinct images, so in exact arithmetic every kept
+        # distance is positive; at large K distinct image corners can
+        # round to one binary64, and c_emp then comes out inf or nan
         d_in_xy = np.abs(src[xs] - src[ys]).max(axis=1)
         d_in_xz = np.abs(src[xs] - src[zs]).max(axis=1)
         d_out_xy = np.abs(img[xs] - img[ys]).max(axis=1)
         d_out_xz = np.abs(img[xs] - img[zs]).max(axis=1)
-        r_in = d_in_xy / d_in_xz
-        r_out = d_out_xy / d_out_xz
-        control = np.maximum(r_in, r_in ** (pr.k + 1))
-        c_emp = float((r_out / control).max())
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r_in = d_in_xy / d_in_xz
+            r_out = d_out_xy / d_out_xz
+            control = np.maximum(r_in, r_in ** (pr.k + 1))
+            c_emp = float((r_out / control).max())
         num, den = _pair_ratio_terms(ftree, level, kept[:exact_pairs, :2])
         if num:
             # the extremes by exact cross-multiplication (denominators are

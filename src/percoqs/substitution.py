@@ -8,14 +8,20 @@ word and is never re-applied inside inserted blocks.  Mapping rewritten
 words through their corner points yields a map of surviving corners that
 shrinks flagged branches by an extra factor M^-K.
 
-The exact geometry is computed a whole level at a time: level_table
-gives the integer corner numerators of the source and rewritten words,
-and pair_ratios turns rows of it into exact two-point distortions.
+The exact geometry comes from one sweep down the tree's packed level
+masks, each unpacked once: a node's flag is read off its mask row (its
+first n_boundary bits all 0), and each level's rewritten lengths and
+integer corner numerators of the source and rewritten words extend the
+level above by one gather through the parents.  level_table indexes
+that sweep, and pair_ratios turns rows of it into exact two-point
+distortions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -25,19 +31,122 @@ from .lattice import corner_nums, label_offsets
 from .percolation import PercTree
 
 
+class _Sweep:
+    """The levels of a tree swept so far, from the root down.
+
+    flags[k], tilde_lengths[k] and tables[k] are read-only arrays; row i
+    of tables[k] holds node i's src then img corner numerators.  Level
+    k+1 comes from level k through the one np.unpackbits of its mask,
+    whose set bits are the (parent, label) pairs of its nodes:
+
+        tls' = (tls + 1 + K flag)[par]
+        src' = src[par] M + off[lab]
+        img' = where(flag, img M^K + eta, img)[par] M + off[lab]
+
+    upto(level) sweeps flags and lengths, keeping each level's parents
+    and labels until table(level) has extended the tables by one gather
+    per level.  Tables are int64 until the first level where M^(longest
+    rewritten length) or M^K reaches 2^63, and Python ints in object
+    arrays from that level down.
+    """
+
+    def __init__(self, tree: PercTree):
+        pr = tree.params
+        m, d, kk = pr.m, pr.d, pr.k
+        self.tree = tree
+        dtype = object if m**kk >= 2**63 else np.int64
+        self.flags: list[np.ndarray] = []
+        self.tilde_lengths = [_frozen(np.zeros(1, dtype=np.int64))]
+        self.tables = [_frozen(np.zeros((1, 2 * d), dtype=dtype))]
+        self._links: list[tuple[np.ndarray, np.ndarray] | None] = [None]
+        offs = label_offsets(m, d)[0]
+        self._offsets = np.hstack([offs, offs])
+        self._steps = np.array([1, 1 + kk])
+        # a flagged row's img columns become img M^K + eta
+        self._scale = np.array([1] * d + [m**kk] * d, dtype=dtype)
+        self._insert = np.array([0] * d + list(corner_nums(pr, pr.eta)), dtype=dtype)
+
+    def upto(self, level: int) -> _Sweep:
+        """Sweep flags and lengths down to `level`."""
+        tree = self.tree
+        tree.count(level)  # range check
+        a, nb = tree.params.alphabet_size, tree.params.n_boundary
+        for k in range(len(self.tilde_lengths) - 1, level):
+            bits = np.unpackbits(
+                np.frombuffer(tree.masks[k], dtype=np.uint8), count=tree.counts[k] * a
+            ).view(bool)
+            # labels 1..n_boundary are the boundary cells
+            fl = ~bits.reshape(-1, a)[:, :nb].any(axis=1)
+            par = np.flatnonzero(bits)
+            lab = par.copy()
+            par //= a
+            lab -= par * a
+            steps = self._steps[fl.view(np.uint8)]
+            self.flags.append(_frozen(fl))
+            self.tilde_lengths.append(_frozen(np.take(self.tilde_lengths[k] + steps, par)))
+            self._links.append((par, lab))
+        return self
+
+    def table(self, level: int) -> np.ndarray:
+        """The tables of `level`, extended from the deepest one built."""
+        self.upto(level)
+        pr = self.tree.params
+        for k in range(len(self.tables) - 1, level):
+            par, lab = self._links[k + 1]
+            self._links[k + 1] = None
+            tab = self.tables[k]
+            longest = int(self.tilde_lengths[k + 1].max(initial=0))
+            if tab.dtype != object and pr.m ** max(pr.k, longest) >= 2**63:
+                tab = tab.astype(object)
+                self._scale = self._scale.astype(object)
+                self._insert = self._insert.astype(object)
+            flagged = np.flatnonzero(self.flags[k])
+            if flagged.size:  # a childless one may wrap in int64; no child reads it
+                tab = tab.copy()
+                tab[flagged] = tab[flagged] * self._scale + self._insert
+            # np.take and in-place arithmetic: fewer level-sized temporaries
+            tab = np.take(tab, par, axis=0)
+            tab *= pr.m
+            tab += np.take(self._offsets, lab, axis=0)
+            self.tables.append(_frozen(tab))
+        return self.tables[level]
+
+
+class _Levels(Sequence):
+    """A read-only view of one per-level list of a FlaggedTree's sweep:
+    entry k is swept on first use, with every level above it."""
+
+    def __init__(self, ftree: FlaggedTree, name: str, length: int):
+        self._ftree, self._name, self._length = ftree, name, length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        if not -self._length <= k < self._length:
+            raise IndexError(f"level {k} outside 0..{self._length - 1}")
+        k %= self._length
+        # the flags of level k read the children at level k + 1
+        sweep = self._ftree._sweep.upto(k + (self._name == "flags"))
+        return getattr(sweep, self._name)[k]
+
+
 @dataclass(frozen=True, eq=False)
 class FlaggedTree:
-    """A sampled tree with per-node flags and rewritten-word lengths.
+    """A sampled tree with per-node flags, rewritten-word lengths and
+    exact corner tables, from one sweep down its packed masks.
 
     flags[k][i] is defined for levels k < depth only: the flag reads the
     children at level k+1, and the deepest sampled level has unknown
     children.  tilde_lengths[k][i] is the length of the rewritten word of
-    node i at level k: k + K * (flagged proper prefixes).
+    node i at level k: k + K * (flagged proper prefixes).  Both are
+    read-only sequences of read-only arrays, and level_table indexes the
+    same sweep.  The sweep runs on first use, level by level and only as
+    deep as the deepest level asked for; each level's mask is unpacked
+    once.
     """
 
     tree: PercTree
-    flags: tuple[np.ndarray, ...]
-    tilde_lengths: tuple[np.ndarray, ...]
 
     @property
     def params(self):
@@ -47,29 +156,34 @@ class FlaggedTree:
     def depth(self) -> int:
         return self.tree.depth
 
+    @property
+    def flags(self) -> Sequence[np.ndarray]:
+        return _Levels(self, "flags", self.depth)
+
+    @property
+    def tilde_lengths(self) -> Sequence[np.ndarray]:
+        return _Levels(self, "tilde_lengths", self.depth + 1)
+
+    @cached_property
+    def _sweep(self) -> _Sweep:
+        return _Sweep(self.tree)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
 
 def compute_flags(tree: PercTree) -> FlaggedTree:
     """Flag every node of level < depth whose boundary children all died.
 
     A childless node is flagged vacuously; no surviving word passes
-    through it, so the flag is never consumed by the substitution.
+    through it, so the flag is never consumed by the substitution.  The
+    flags, like the tables, are swept on first use.
     """
     if tree.depth < 1:
         raise PreconditionError("flags need at least one sampled child level")
-    nb = tree.params.n_boundary
-    kk = tree.params.k
-    flags = []
-    tls = [np.zeros(1, dtype=np.int64)]
-    for k in range(tree.depth):
-        par = tree.parents[k + 1]
-        lab = tree.labels[k + 1]
-        has_boundary_child = (
-            np.bincount(par[lab <= nb], minlength=tree.count(k)) > 0
-        )
-        fl = ~has_boundary_child
-        flags.append(fl)
-        tls.append(tls[k][par] + 1 + kk * fl[par].astype(np.int64))
-    return FlaggedTree(tree, tuple(flags), tuple(tls))
+    return FlaggedTree(tree)
 
 
 def level_table(
@@ -78,32 +192,18 @@ def level_table(
     """Exact corners of a level's words and of their rewritten words.
 
     For every node of the level (or the given node indices) returns
-    (src, img), two (n, d) arrays of integer corner numerators: src over
-    M^level, img over M^(rewritten length), the length being
-    ftree.tilde_lengths[level][node].  Numerators are int64 while M^(the
-    longest rewritten length) and M^K are below 2^63, and Python ints in
-    object arrays past that.
+    (src, img), two fresh (n, d) arrays of integer corner numerators: src
+    over M^level, img over M^(rewritten length), the length being
+    ftree.tilde_lengths[level][node].  Rows are read from the tree's one
+    sweep, so they take their level's dtype: int64 down to the first
+    level where M^(longest rewritten length) or M^K reaches 2^63, Python
+    ints in object arrays from there on.
     """
-    tree = ftree.tree
-    pr = ftree.params
-    chain = tree.prefix_nodes(level, nodes)
-    lengths = ftree.tilde_lengths[level][chain[-1]]
-    # the insertion block's corner, below M^K, must fit as well
-    wide = pr.m ** max(pr.k, int(lengths.max(initial=0))) >= 2**63
-    dtype = object if wide else np.int64
-    offs = label_offsets(pr.m, pr.d)[0].astype(dtype)
-    eta = np.array(corner_nums(pr, pr.eta), dtype=dtype)
-    shift = pr.m**pr.k
-    src = np.zeros((chain[-1].shape[0], pr.d), dtype=dtype)
-    img = src.copy()
-    for n in range(level):
-        # eta goes in front of the letter whose parent prefix is flagged
-        flagged = ftree.flags[n][chain[n]]
-        img[flagged] = img[flagged] * shift + eta
-        o = offs[tree.labels[n + 1][chain[n + 1]] - 1]
-        src = src * pr.m + o
-        img = img * pr.m + o
-    return src, img
+    tab = ftree._sweep.table(level)
+    if nodes is not None:
+        tab = tab[np.asarray(nodes, dtype=np.int64)]
+    d = ftree.params.d
+    return tab[:, :d].copy(), tab[:, d:].copy()
 
 
 def _pair_ratio_terms(

@@ -3,6 +3,7 @@ checks, each pinned against independently computed values."""
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -413,12 +414,13 @@ def test_qs_scan_exact_extremes_depth_8(i):
 
 
 # rewritten corners 5^-28 apart collide in binary64, so the float part of
-# the scan divides by zero; the exact extremes do not use those floats
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+# the scan divides 0 by 0; the exact extremes do not use those floats
 def test_qs_scan_exact_extremes_past_int64():
     ft = _past_int64_tree()
-    scan = qs_ratio_scan(ft, 7, triples=300, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = qs_ratio_scan(ft, 7, triples=300, seed=3)
+    assert math.isnan(scan.c_emp)
     assert (scan.pair_ratio_min, scan.pair_ratio_max) == _scan_extremes_reference(
         ft, 7, 300, 3
     )

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report files, determinism and the
 printed summaries."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from test_analysis import partition_sum_exact
 from test_substitution import _past_int64_tree
 
-from percoqs import globalmap, substitution
+from percoqs import analysis, cli, globalmap, substitution
 from percoqs.cli import (
     EXIT_CAPACITY,
     EXIT_CHECK_FAILED,
@@ -33,6 +34,7 @@ from percoqs.cli import (
 )
 from percoqs.lattice import Params
 from percoqs.percolation import (
+    derive_seed,
     sample_nonextinct,
     sample_tree,
     tree_from_json_dict,
@@ -279,6 +281,63 @@ def test_hand_tree_output_bytes_frozen():
             render_svg(tree, levels, image=True).encode("ascii"),
         )
         assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == digests
+
+
+def _benchmark_shaped_trees():
+    """Two trees of the shape the render benchmark samples, and the M=4,
+    K=2 custom-eta tree, all rendered at levels 3, 4 and 5."""
+    trees = [sample_nonextinct(Params(m=3, d=2, p=0.4), 5, s)[0] for s in (0, 1)]
+    trees.append(sample_nonextinct(Params(m=4, d=2, p=0.3, k=2, eta=(16, 13)), 5, 2)[0])
+    return trees
+
+
+def test_benchmark_shaped_svg_bytes_frozen():
+    # digests of the plain and the image panels, recorded before the
+    # panels were rounded, sorted and written in one pass
+    want = [
+        ("99ed89b5feb20d5dcad7d8ae6fc008d2ef36c326da3e896a02d400daa8da367e",
+         "e0f6e6170b59ded64574108792856fe4eb143bf28addffb78958e9e724a4641e"),
+        ("43f7b620a055da21f08d7c28ef5fbe9d36487eb8d349810e35479fc4c1e321f8",
+         "d69784b0ef72c6c38dfdd7f5ea5a485d3f40011aeb0f1df2e66b802c1aefaed3"),
+        ("428727e0518ccdd3ad0c529706e97db3ad98860b3fd4057c2d03f9ecfd112d17",
+         "7a35f70877e575e5e680f6afd0c5ffea9bec88b44c552455fe3ef74593163ad2"),
+    ]
+    for tree, digests in zip(_benchmark_shaped_trees(), want):
+        got = tuple(
+            hashlib.sha256(render_svg(tree, [3, 4, 5], image=image).encode()).hexdigest()
+            for image in (False, True)
+        )
+        assert got == digests
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_render_svg_chunk_boundary(chunk, monkeypatch):
+    # 19 + 75 + 285 + 19 rows: chunks of 1 and 7 rows split every panel
+    tree = _benchmark_shaped_trees()[0]
+    levels = [2, 3, 4, 2, 0]
+    default = [render_svg(tree, levels, image=image) for image in (False, True)]
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for image, want in zip((False, True), default):
+        assert render_svg(tree, levels, image=image) == want
+
+
+def test_render_svg_unpacks_each_level_once(monkeypatch):
+    # one np.unpackbits per level down to the deepest panel, none below it
+    tree = _benchmark_shaped_trees()[1]
+    levels = [3, 1, 3, 2]
+    unpackbits = np.unpackbits
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return unpackbits(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unpackbits", counted)
+    for image in (False, True):
+        fresh = tree_from_json_dict(json.loads(tree.to_canonical_bytes()))
+        calls.clear()
+        render_svg(fresh, levels, image=image)
+        assert 0 < len(calls) <= max(levels) < tree.depth
 
 
 def test_render_depth_zero_image(tmp_path, capsys):
@@ -682,6 +741,42 @@ def test_check_qs_fails_without_usable_triple(tmp_path, capsys):
     assert "every sampled triple repeats its first corner" in out
     obj = json.loads(report.read_bytes())
     assert obj["results"]["per_tree"][0]["degenerate"] == 1 and obj["pass"] is False
+
+
+def test_check_qs_fails_on_binary64_collision(tmp_path):
+    # at K=40 the image corners of distinct survivors round to one binary64,
+    # so a tree's C_emp is inf or nan; the check fails and names the tree,
+    # with nothing on stderr
+    report = tmp_path / "qs.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "percoqs.cli", "check", "qs", "--K", "40", "--p", "0.5",
+         "--depth", "5", "--trees", "5", "-o", str(report)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_CHECK_FAILED
+    assert proc.stderr == ""
+    collided = [line for line in proc.stdout.splitlines() if "binary64" in line]
+    assert collided and all(re.match(r"tree \d: ", line) for line in collided)
+    results = json.loads(report.read_bytes())["results"]
+    assert results["c_emp"] is None
+    assert sum(t["c_emp"] is None for t in results["per_tree"]) == len(collided)
+
+
+def test_check_qs_fails_on_a_nan_c_emp(monkeypatch, capsys):
+    # a nan C_emp (0/0 from collided corners) fails the check, even first
+    scan = analysis.qs_ratio_scan
+
+    def nan_first_tree(ftree, level, triples, seed):
+        out = scan(ftree, level, triples, seed)
+        first = seed == derive_seed(0, "qs-scan", 0)
+        return dataclasses.replace(out, c_emp=math.nan) if first else out
+
+    monkeypatch.setattr(analysis, "qs_ratio_scan", nan_first_tree)
+    argv = ["check", "qs", "--p", "0.7", "--depth", "3", "--trees", "2", "--trials", "300"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("tree 0: ") and out[0].endswith("C_emp is nan")
+    assert out[1].startswith("three-point control constant C_emp=nan ")
 
 
 def test_reports_are_strict_json(tmp_path, capsys):

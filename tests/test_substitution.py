@@ -330,6 +330,39 @@ def test_level_table_long_eta_without_insertions():
     assert level_table(ft, 1)[1].dtype == object
 
 
+def _wide_then_short_tree():
+    """Interior chain a rewrites to length 5 * 7 - 4 = 31 at level 7
+    (5^31 > 2^63) and dies there; boundary chain b keeps length k, so
+    level 8's longest rewritten length is 8."""
+    pr = Params(m=5, d=2, p=0.5, k=4, eta=(19, 2, 25, 3))
+    a, b = (17, 18, 19, 20, 21, 22, 23), (1,) * 8
+    levels = [[()]] + [[a[:k], b[:k]] for k in range(1, 8)] + [[b]]
+    return compute_flags(tree_from_words(pr, 8, levels))
+
+
+@pytest.mark.parametrize("tree", ["past_int64", "K40", "wide_then_short"])
+def test_level_table_subsets_index_their_level(tree):
+    # a subset's rows, and their dtype, are the level's: object from the
+    # first level that needs Python ints, on every deeper level
+    if tree == "past_int64":
+        ft = _past_int64_tree()
+    elif tree == "K40":
+        ft = compute_flags(sample_nonextinct(Params(m=3, d=2, p=0.5, k=40), 5, 0)[0])
+    else:
+        ft = _wide_then_short_tree()
+        assert ft.tilde_lengths[7].max() == 31 and ft.tilde_lengths[8].max() == 8
+    rng = np.random.default_rng(0)
+    wide = False
+    for level in range(ft.depth + 1):
+        src, img = level_table(ft, level)
+        wide |= ft.params.m ** max(ft.params.k, int(ft.tilde_lengths[level].max())) >= 2**63
+        assert src.dtype == img.dtype == (object if wide else np.int64)
+        for nodes in ([], [0], rng.integers(0, ft.tree.count(level), size=9)):
+            sub_src, sub_img = level_table(ft, level, nodes)
+            assert sub_src.dtype == sub_img.dtype == src.dtype
+            assert np.array_equal(sub_src, src[nodes]) and np.array_equal(sub_img, img[nodes])
+
+
 def _check_pair_ratios(ft):
     """pair_ratios against the one-word oracle on every distinct pair of
     the top level, half of them in reverse order."""
