@@ -543,6 +543,11 @@ def cmd_check_dims(args) -> int:
     )
 
 
+# pairs per block of check global's distortion bracket; its memory does
+# not grow with --trials
+_PAIR_BLOCK = 1 << 13
+
+
 def cmd_check_global(args) -> int:
     params = _params(args)
     n_pairs = args.trials if args.trials is not None else 100_000
@@ -582,15 +587,21 @@ def cmd_check_global(args) -> int:
     results["boundary_identity_max"] = bide
     ok &= bide == 0.0
 
-    # two-point distortion bracket
-    pairs = rng.random((n_pairs, 2, params.d))
-    gx = globalmap.g_batch(cfg, pairs[:, 0])
-    gy = globalmap.g_batch(cfg, pairs[:, 1])
-    din = globalmap._row_max_abs(pairs[:, 0] - pairs[:, 1])
-    dout = globalmap._row_max_abs(gx - gy)
-    keep = din > 0
-    ratios = dout[keep] / din[keep]
-    bracket = float(ratios.max() / ratios.min())
+    # two-point distortion bracket, over _PAIR_BLOCK pairs at a time: the
+    # generator's stream concatenates, so the blocks draw the pairs of one
+    # (n_pairs, 2, d) draw and leave the same state for the draws below
+    hi, lo = -np.inf, np.inf
+    for start in range(0, n_pairs, _PAIR_BLOCK):
+        pairs = rng.random((min(_PAIR_BLOCK, n_pairs - start), 2, params.d))
+        gx = globalmap.g_batch(cfg, pairs[:, 0])
+        gy = globalmap.g_batch(cfg, pairs[:, 1])
+        din = globalmap._row_max_abs(pairs[:, 0] - pairs[:, 1])
+        dout = globalmap._row_max_abs(gx - gy)
+        keep = din > 0
+        ratios = dout[keep] / din[keep]
+        hi = np.maximum(hi, ratios.max(initial=-np.inf))
+        lo = np.minimum(lo, ratios.min(initial=np.inf))
+    bracket = float(hi / lo)
     bound = float(params.m ** (params.k + 2))
     results["bilipschitz_bracket"] = bracket
     results["bilipschitz_bound"] = bound

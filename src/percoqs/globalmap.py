@@ -142,19 +142,18 @@ def f_global(ftree: FlaggedTree, points, resolution: int) -> np.ndarray:
     N = (a * top - 1) // b
 
     # longest surviving prefix: its length n and node idx, found by one
-    # lookup per level in the sorted (parent, label) codes
-    tree = ftree.tree
+    # lookup per level in the ascending mask positions parent M^d + label - 1
+    positions = ftree._sweep.upto(resolution).positions
     label_of = label_offsets(m, d)[1]
-    base = params.alphabet_size + 1
+    md = params.alphabet_size
     cur = np.zeros(rows.size, dtype=np.int64)
     n = np.zeros(rows.size, dtype=np.int64)
     idx = np.zeros(rows.size, dtype=np.int64)
     for k in range(1, resolution + 1):
         digits = ((N // m ** (resolution - k)) % m).astype(np.int64)
         lab = label_of[np.ravel_multi_index(tuple(digits.T), (m,) * d)]
-        # -1 marks a dead prefix; the negative codes it makes never match
-        codes = tree.parents[k].astype(np.int64) * base + tree.labels[k]
-        cur = _find_sorted(codes, cur * base + lab)
+        # -1 marks a dead prefix; the negative positions it makes never match
+        cur = _find_sorted(positions[k], cur * md + lab - 1)
         hit = cur >= 0
         n[hit] = k
         idx[hit] = cur[hit]

@@ -34,20 +34,21 @@ from .percolation import PercTree
 class _Sweep:
     """The levels of a tree swept so far, from the root down.
 
-    flags[k], tilde_lengths[k] and tables[k] are read-only arrays; row i
-    of tables[k] holds node i's src then img corner numerators.  Level
-    k+1 comes from level k through the one np.unpackbits of its mask,
-    whose set bits are the (parent, label) pairs of its nodes:
+    flags[k], tilde_lengths[k], positions[k] and tables[k] are read-only
+    arrays; row i of tables[k] holds node i's src then img corner
+    numerators.  Level k+1 comes from level k through the one
+    np.unpackbits of its mask, whose set bits are at the positions
+    par M^d + lab of its nodes, lab = label - 1, in ascending order:
 
         tls' = (tls + 1 + K flag)[par]
         src' = src[par] M + off[lab]
         img' = where(flag, img M^K + eta, img)[par] M + off[lab]
 
-    upto(level) sweeps flags and lengths, keeping each level's parents
-    and labels until table(level) has extended the tables by one gather
-    per level.  Tables are int64 until the first level where M^(longest
-    rewritten length) or M^K reaches 2^63, and Python ints in object
-    arrays from that level down.
+    upto(level) sweeps flags, lengths and positions (positions[0] is
+    None: the root has no parent); table(level) extends the tables from
+    the positions by one gather per level.  Tables are int64 until the
+    first level where M^(longest rewritten length) or M^K reaches 2^63,
+    and Python ints in object arrays from that level down.
     """
 
     def __init__(self, tree: PercTree):
@@ -58,7 +59,7 @@ class _Sweep:
         self.flags: list[np.ndarray] = []
         self.tilde_lengths = [_frozen(np.zeros(1, dtype=np.int64))]
         self.tables = [_frozen(np.zeros((1, 2 * d), dtype=dtype))]
-        self._links: list[tuple[np.ndarray, np.ndarray] | None] = [None]
+        self.positions: list[np.ndarray | None] = [None]
         offs = label_offsets(m, d)[0]
         self._offsets = np.hstack([offs, offs])
         self._steps = np.array([1, 1 + kk])
@@ -77,14 +78,13 @@ class _Sweep:
             ).view(bool)
             # labels 1..n_boundary are the boundary cells
             fl = ~bits.reshape(-1, a)[:, :nb].any(axis=1)
-            par = np.flatnonzero(bits)
-            lab = par.copy()
-            par //= a
-            lab -= par * a
+            pos = np.flatnonzero(bits)
             steps = self._steps[fl.view(np.uint8)]
             self.flags.append(_frozen(fl))
-            self.tilde_lengths.append(_frozen(np.take(self.tilde_lengths[k] + steps, par)))
-            self._links.append((par, lab))
+            self.tilde_lengths.append(
+                _frozen(np.take(self.tilde_lengths[k] + steps, pos // a))
+            )
+            self.positions.append(_frozen(pos))
         return self
 
     def table(self, level: int) -> np.ndarray:
@@ -92,8 +92,7 @@ class _Sweep:
         self.upto(level)
         pr = self.tree.params
         for k in range(len(self.tables) - 1, level):
-            par, lab = self._links[k + 1]
-            self._links[k + 1] = None
+            par, lab = np.divmod(self.positions[k + 1], pr.alphabet_size)
             tab = self.tables[k]
             longest = int(self.tilde_lengths[k + 1].max(initial=0))
             if tab.dtype != object and pr.m ** max(pr.k, longest) >= 2**63:
@@ -216,9 +215,14 @@ def _pair_ratio_terms(
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise DomainError("a pair must join two distinct nodes")
-    m = ftree.params.m
+    m, a = ftree.params.m, ftree.params.alphabet_size
     flat = pairs.ravel()
-    chain = ftree.tree.prefix_nodes(level, flat)
+    # chain[k]: the nodes' prefixes at level k, each the one at level k+1's
+    # mask position // M^d
+    positions = ftree._sweep.upto(level).positions
+    chain = {level: flat}
+    for k in range(level, 1, -1):
+        chain[k - 1] = positions[k][chain[k]] // a
     # prefixes agree up to the meet and differ past it
     meet = np.zeros(pairs.shape[0], dtype=np.int64)
     meet_len = np.zeros(pairs.shape[0], dtype=np.int64)

@@ -8,6 +8,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from argparse import Namespace
 from fractions import Fraction
 
@@ -821,6 +822,66 @@ def test_check_global_report_bytes_with_reference_g_batch(tmp_path, capsys,
         blobs.append(report.read_bytes())
     assert blobs[0] == blobs[1]
     capsys.readouterr()
+
+
+def test_check_global_bracket_block_size_invariant(tmp_path, capsys, monkeypatch):
+    # blocks of 7 split the 20,000 pairs 2,858 ways, the last one partial;
+    # one block of 20,001 is the whole draw at once
+    argv = ["check", "global", "--depth", "5", "--trials", "20000", "-o"]
+    blobs = []
+    for i, size in enumerate((cli._PAIR_BLOCK, 7, 20_001)):
+        monkeypatch.setattr(cli, "_PAIR_BLOCK", size)
+        report = tmp_path / f"global{i}.json"
+        assert main([*argv, str(report)]) == EXIT_OK
+        blobs.append(report.read_bytes())
+    assert blobs[1:] == blobs[:1] * 2
+    capsys.readouterr()
+
+
+def test_check_global_report_bytes_frozen(tmp_path, capsys):
+    # the benchmark's check global op at variant 0; digest recorded when
+    # the bracket drew all its pairs in one array
+    report = tmp_path / "global.json"
+    assert main(["check", "global", "--p", "0.4", "--depth", "8", "--trials",
+                 "400000", "--seed", "0", "-o", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "9797cce3d19ee6f0b6ec06a53ac9081607127e236bb5ec784d305457ccfdc10e"
+    )
+
+
+def test_check_global_memory_does_not_grow_with_trials(tmp_path, capsys):
+    # one (400000, 2, 2) draw with g_batch over each half peaked at 67.8 MiB
+    report = tmp_path / "global.json"
+    tracemalloc.start()
+    try:
+        assert main(["check", "global", "--p", "0.4", "--depth", "6", "--trials",
+                     "400000", "-o", str(report)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "global", "--p", "0.4", "--depth", "8", "--trials", "2000"],
+    ["check", "qs", "--p", "0.4", "--depth", "8", "--trees", "1"],
+])
+def test_checks_unpack_each_level_once(argv, tmp_path, capsys, monkeypatch):
+    # flags, tables, f_global's prefixes and the pairs' meet all read the
+    # one sweep: at most one np.unpackbits per level
+    unpackbits = np.unpackbits
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return unpackbits(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unpackbits", counted)
+    assert main([*argv, "-o", str(tmp_path / "report.json")]) == EXIT_OK
+    capsys.readouterr()
+    assert 0 < len(calls) <= 8
 
 
 def test_check_reports_are_deterministic(tmp_path, capsys):
