@@ -6,7 +6,8 @@ loses all boundary children, and provides the closed-form growth
 exponents, the exact level tables of the rewritten corners, the global
 limit map, and Monte Carlo cross-checks for all of it.  Every name here
 is reached by a command; the one-word reference paths the tests
-check it against live in tests/exact_oracle.py.
+check it against, and the word-list builder of their hand trees, live
+in tests/exact_oracle.py.
 """
 
 from .errors import CapacityError, DomainError, PreconditionError
@@ -25,7 +26,6 @@ from .percolation import (
     sample_tree,
     survival_threshold,
     tree_from_json_dict,
-    tree_from_words,
 )
 from .substitution import (
     FlaggedTree,
@@ -89,7 +89,6 @@ __all__ = [
     "solve_t",
     "survival_threshold",
     "tree_from_json_dict",
-    "tree_from_words",
     "validate_label",
     "validate_word",
     "zero_slope",

@@ -54,8 +54,8 @@ def kappa(params: Params, s: float, k: int | None = None) -> float:
         k = params.k
     if k < 1:
         raise DomainError(f"K must be >= 1, got {k}")
-    if s < 0:
-        raise DomainError(f"s must be >= 0, got {s}")
+    if not (0 <= s < math.inf):
+        raise DomainError(f"s must be a finite number >= 0, got {s}")
     m, d, p = params.m, params.d, params.p
     interior_frac = (m - 2) ** d / m**d
     return 1.0 - interior_frac * (1.0 - m ** (-s * k)) * (1.0 - p) ** params.n_boundary
@@ -230,8 +230,8 @@ def level1_oracle(params: Params, s: float, k: int | None = None) -> float:
     """
     if k is None:
         k = params.k
-    if s < 0:
-        raise DomainError(f"s must be >= 0, got {s}")
+    if not (0 <= s < math.inf):
+        raise DomainError(f"s must be a finite number >= 0, got {s}")
     prob, value = _one_generation(params, s, k)
     return math.fsum((prob * value).tolist())
 
@@ -271,8 +271,8 @@ def martingale_check(
         raise DomainError(
             f"need at least 100 trials for meaningful statistics, got {trials}"
         )
-    if s < 0:
-        raise DomainError(f"s must be >= 0, got {s}")
+    if not (0 <= s < math.inf):
+        raise DomainError(f"s must be a finite number >= 0, got {s}")
     if not (0 <= n <= ftree.depth):
         raise DomainError(f"level {n} outside 0..{ftree.depth}")
     pr = ftree.params

@@ -75,7 +75,7 @@ def _params(args) -> Params:
     if args.workers < 1:
         raise DomainError(f"--workers must be >= 1, got {args.workers}")
     eta = None
-    if args.eta:
+    if args.eta is not None:
         try:
             eta = tuple(int(x) for x in args.eta.split(","))
         except ValueError:

@@ -143,7 +143,7 @@ def f_global(ftree: FlaggedTree, points, resolution: int) -> np.ndarray:
 
     # longest surviving prefix: its length n and node idx, found by one
     # lookup per level in the ascending mask positions parent M^d + label - 1
-    positions = ftree._sweep.upto(resolution).positions
+    positions = ftree.positions
     label_of = label_offsets(m, d)[1]
     md = params.alphabet_size
     cur = np.zeros(rows.size, dtype=np.int64)

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .lattice import Params, Word, _json_ready, validate_label
+from .lattice import Params, _json_ready
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_REJECTION_BUDGET = 10**6
@@ -134,30 +134,6 @@ class PercTree:
     def labels(self) -> tuple[np.ndarray, ...]:
         return self._links[1]
 
-    def prefix_nodes(self, level: int, nodes=None) -> list[np.ndarray]:
-        """Node indices of every prefix of a level's nodes.
-
-        Entry k holds, for each node of the level (or of the given node
-        indices, in their order), the index of its length-k prefix in
-        level k; entry `level` holds the nodes themselves.
-        """
-        count = self.count(level)
-        idx = np.arange(count) if nodes is None else np.asarray(nodes, dtype=np.int64)
-        chain = [idx]
-        for k in range(level, 0, -1):
-            idx = self.parents[k][idx]
-            chain.append(idx)
-        return chain[::-1]
-
-    def label_matrix(self, level: int) -> np.ndarray:
-        """(n, level) labels whose row j is the word of node j of the
-        level."""
-        chain = self.prefix_nodes(level)
-        out = np.empty((chain[-1].shape[0], level), dtype=np.int64)
-        for k in range(1, level + 1):
-            out[:, k - 1] = self.labels[k][chain[k]]
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "format": _TREE_FORMAT,
@@ -173,79 +149,12 @@ class PercTree:
         )
 
 
-def _word_rows(params: Params, words, k: int) -> np.ndarray:
-    """The words of level k as a validated (n, k) label matrix."""
-    try:
-        rows = np.array(words)
-    except ValueError:  # ragged nesting
-        rows = None
-    if rows is not None and rows.shape == (0,):
-        rows = rows.reshape(0, k)
-    if rows is None or rows.ndim != 2 or rows.shape[1] != k:
-        raise DomainError(f"every word at level {k} must have length {k}")
-    if rows.size and rows.dtype.kind not in "iu":
-        raise DomainError(f"labels at level {k} must be integers, got {rows.dtype}")
-    rows = rows.astype(np.int64)
-    bad = (rows < 1) | (rows > params.alphabet_size)
-    if bad.any():
-        validate_label(params, int(rows[bad][0]))
-    return rows
-
-
 def _find_sorted(codes: np.ndarray, want: np.ndarray) -> np.ndarray:
     """Positions of `want` in the ascending array `codes`, -1 where absent."""
     pos = np.searchsorted(codes, want)
     hit = pos < codes.shape[0]
     hit[hit] = codes[pos[hit]] == want[hit]
     return np.where(hit, pos, -1)
-
-
-def tree_from_words(
-    params: Params, depth: int, survivors: list[list[Word]], seed: int = 0
-) -> PercTree:
-    """Build a tree from explicit per-level word lists (level 0 = [()]).
-
-    Validates lengths, labels, duplicates and prefix closure; input
-    order is irrelevant.  A level's nodes are keyed by their (parent
-    index, label) code, which ascends with the lexicographic order, so a
-    word's prefix is found by descending from the root through each
-    level's codes, and bit (parent index, label) of the level's mask is
-    set.
-    """
-    if depth < 0:
-        raise DomainError(f"depth must be >= 0, got {depth}")
-    if len(survivors) != depth + 1:
-        raise DomainError(
-            f"need {depth + 1} levels of survivors, got {len(survivors)}"
-        )
-    if _word_rows(params, survivors[0], 0).shape[0] != 1:
-        raise DomainError("level 0 must contain exactly the empty word")
-    a = params.alphabet_size
-    base = a + 1
-    masks, counts = [], [1]
-    codes = [np.zeros(1, dtype=np.int64)]
-    for k in range(1, depth + 1):
-        rows = _word_rows(params, survivors[k], k)
-        rows = rows[np.lexsort(rows.T[::-1])]
-        dup = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
-        if dup.size:
-            raise DomainError(
-                f"duplicate word {tuple(rows[dup[0]].tolist())} at level {k}"
-            )
-        # -1 marks a missing prefix; the negative codes it makes never match
-        par = np.zeros(rows.shape[0], dtype=np.int64)
-        for j in range(1, k):
-            par = _find_sorted(codes[j], par * base + rows[:, j - 1])
-        dead = np.flatnonzero(par < 0)
-        if dead.size:
-            w = tuple(rows[dead[0]].tolist())
-            raise DomainError(f"word {w} has a dead prefix {w[:-1]}")
-        bits = np.zeros(counts[-1] * a, dtype=bool)
-        bits[par * a + rows[:, -1] - 1] = True
-        masks.append(np.packbits(bits).tobytes())
-        counts.append(rows.shape[0])
-        codes.append(par * base + rows[:, -1])
-    return PercTree(params, seed, depth, tuple(masks), tuple(counts))
 
 
 def _json_int(value, key: str) -> int:
@@ -292,14 +201,15 @@ def _tree_from_levels(params: Params, seed: int, depth: int, levels) -> PercTree
 
 
 def tree_from_json_dict(obj: dict) -> PercTree:
-    """Read a percoqs-tree/1, /2 or /3 object.  /3 stores base64 level
-    masks; /1 and /2 store word lists, so the sampling rule they name
-    does not matter here.  M, d, K, depth, seed and the eta labels must
-    be JSON integers, the seed in [0, 2^64), and p a JSON number; a
-    missing or malformed field raises DomainError."""
+    """Read a percoqs-tree/3 object, which stores base64 level masks.
+    M, d, K, depth, seed and the eta labels must be JSON integers, the
+    seed in [0, 2^64), and p a JSON number; another format, or a missing
+    or malformed field, raises DomainError."""
     fmt = obj.get("format") if isinstance(obj, dict) else None
-    if fmt not in ("percoqs-tree/1", "percoqs-tree/2", _TREE_FORMAT):
-        raise DomainError(f"unsupported tree format {fmt!r}")
+    if fmt != _TREE_FORMAT:
+        raise DomainError(
+            f"unsupported tree format {fmt!r}; only {_TREE_FORMAT} is read"
+        )
     try:
         m, d, k, depth, seed = (
             _json_int(obj[key], key) for key in ("M", "d", "K", "depth", "seed")
@@ -309,16 +219,14 @@ def tree_from_json_dict(obj: dict) -> PercTree:
             raise DomainError(f"malformed tree file: p must be a JSON number, got {p!r}")
         p = float(p)
         eta = tuple(_json_int(l, "eta") for l in obj["eta"])
-        body = obj["levels"] if fmt == _TREE_FORMAT else list(obj["survivors"])
+        levels = obj["levels"]
     except (KeyError, TypeError, OverflowError) as exc:
         raise DomainError(
             f"malformed tree file: {type(exc).__name__}: {exc}"
         ) from None
     _validate_seed(seed)
     params = Params(m=m, d=d, p=p, k=k, eta=eta)
-    if fmt == _TREE_FORMAT:
-        return _tree_from_levels(params, seed, depth, body)
-    return tree_from_words(params, depth, body, seed=seed)
+    return _tree_from_levels(params, seed, depth, levels)
 
 
 def sample_tree(

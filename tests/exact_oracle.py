@@ -6,11 +6,13 @@ global map a whole point array at a time (globalmap.f_global), and the
 image panels of render from level_table rows.  The functions here take
 one word, one point or one box at a time: they walk its prefixes with
 child_index, one sorted lookup per letter and never the package's
-prefix_nodes, build the rewritten word letter by letter, keep points as
+sweep, build the rewritten word letter by letter, keep points as
 canonical ExactPoints and boxes as a set, and measure distances in
 Fractions, so the tests can compare the two paths.  g_batch_reference
-is the package's earlier g, branch by masked branch.  subtree and truncate
-cut a tree down for the self-similarity and truncation contracts.
+is the package's earlier g, branch by masked branch.  tree_from_words
+builds the hand trees from explicit word lists, label_matrix reads a
+level's words back, and subtree and truncate cut a tree down for the
+self-similarity and truncation contracts.
 render_svg_reference writes every SVG rect with its own f-string, the
 reference for the package's vectorised '%.4f' writer.
 """
@@ -32,9 +34,10 @@ from percoqs.lattice import (
     Word,
     corner_floats,
     label_offsets,
+    validate_label,
     validate_word,
 )
-from percoqs.percolation import PercTree, tree_from_words
+from percoqs.percolation import PercTree, _find_sorted
 from percoqs.substitution import FlaggedTree, level_table
 
 
@@ -136,9 +139,87 @@ class Box:
         return {"level": self.level, "corner": self.corner.to_json_dict()}
 
 
+def _word_rows(params: Params, words, k: int) -> np.ndarray:
+    """The words of level k as a validated (n, k) label matrix."""
+    try:
+        rows = np.array(words)
+    except ValueError:  # ragged nesting
+        rows = None
+    if rows is not None and rows.shape == (0,):
+        rows = rows.reshape(0, k)
+    if rows is None or rows.ndim != 2 or rows.shape[1] != k:
+        raise DomainError(f"every word at level {k} must have length {k}")
+    if rows.size and rows.dtype.kind not in "iu":
+        raise DomainError(f"labels at level {k} must be integers, got {rows.dtype}")
+    rows = rows.astype(np.int64)
+    bad = (rows < 1) | (rows > params.alphabet_size)
+    if bad.any():
+        validate_label(params, int(rows[bad][0]))
+    return rows
+
+
+def tree_from_words(
+    params: Params, depth: int, survivors: list[list[Word]], seed: int = 0
+) -> PercTree:
+    """Build a tree from explicit per-level word lists (level 0 = [()]).
+
+    Validates lengths, labels, duplicates and prefix closure; input
+    order is irrelevant.  A level's nodes are keyed by their (parent
+    index, label) code, which ascends with the lexicographic order, so a
+    word's prefix is found by descending from the root through each
+    level's codes, and bit (parent index, label) of the level's mask is
+    set.
+    """
+    if depth < 0:
+        raise DomainError(f"depth must be >= 0, got {depth}")
+    if len(survivors) != depth + 1:
+        raise DomainError(
+            f"need {depth + 1} levels of survivors, got {len(survivors)}"
+        )
+    if _word_rows(params, survivors[0], 0).shape[0] != 1:
+        raise DomainError("level 0 must contain exactly the empty word")
+    a = params.alphabet_size
+    base = a + 1
+    masks, counts = [], [1]
+    codes = [np.zeros(1, dtype=np.int64)]
+    for k in range(1, depth + 1):
+        rows = _word_rows(params, survivors[k], k)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        dup = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        if dup.size:
+            raise DomainError(
+                f"duplicate word {tuple(rows[dup[0]].tolist())} at level {k}"
+            )
+        # -1 marks a missing prefix; the negative codes it makes never match
+        par = np.zeros(rows.shape[0], dtype=np.int64)
+        for j in range(1, k):
+            par = _find_sorted(codes[j], par * base + rows[:, j - 1])
+        dead = np.flatnonzero(par < 0)
+        if dead.size:
+            w = tuple(rows[dead[0]].tolist())
+            raise DomainError(f"word {w} has a dead prefix {w[:-1]}")
+        bits = np.zeros(counts[-1] * a, dtype=bool)
+        bits[par * a + rows[:, -1] - 1] = True
+        masks.append(np.packbits(bits).tobytes())
+        counts.append(rows.shape[0])
+        codes.append(par * base + rows[:, -1])
+    return PercTree(params, seed, depth, tuple(masks), tuple(counts))
+
+
+def label_matrix(tree, level: int) -> np.ndarray:
+    """(n, level) labels whose row j is the word of node j of the
+    level, read up the tree's parent links."""
+    idx = np.arange(tree.count(level))
+    out = np.empty((idx.shape[0], level), dtype=np.int64)
+    for k in range(level, 0, -1):
+        out[:, k - 1] = tree.labels[k][idx]
+        idx = tree.parents[k][idx]
+    return out
+
+
 def words(tree, level: int) -> list[Word]:
     """All surviving words of a level, in node order."""
-    return [tuple(w) for w in tree.label_matrix(level).tolist()]
+    return [tuple(w) for w in label_matrix(tree, level).tolist()]
 
 
 def _child_range(tree, level: int, index: int) -> tuple[int, int]:

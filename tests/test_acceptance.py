@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracle import f_point, pi_finite, subtree, tilde, truncate, words
+from exact_oracle import (
+    f_point,
+    label_matrix,
+    pi_finite,
+    subtree,
+    tilde,
+    truncate,
+    words,
+)
 
 from percoqs.analysis import (
     epsilon_table,
@@ -215,7 +223,7 @@ def test_criterion_08_structural_invariants():
             injective &= np.unique(codes[n]).size == codes[n].size
         base = pr.alphabet_size + 1
 
-        deepest = tree.label_matrix(depth)
+        deepest = label_matrix(tree, depth)
         for _ in range(5):
             idx = int(rng.integers(0, tree.count(depth)))
             w = tuple(deepest[idx].tolist())

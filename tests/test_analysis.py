@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_oracle import tree_from_words
 from test_substitution import _past_int64_tree
 
 from percoqs.analysis import (
@@ -32,12 +33,7 @@ from percoqs.analysis import (
 )
 from percoqs.errors import DomainError
 from percoqs.lattice import Params
-from percoqs.percolation import (
-    derive_seed,
-    sample_nonextinct,
-    sample_tree,
-    tree_from_words,
-)
+from percoqs.percolation import derive_seed, sample_nonextinct, sample_tree
 from percoqs.substitution import compute_flags, pair_ratios
 
 P_HALF = Params(m=3, d=2, p=0.5)
@@ -195,8 +191,9 @@ def test_level1_oracle_matches_kappa_grid():
 
 def test_level1_oracle_special_cases():
     assert level1_oracle(P_HALF, 0.0) == pytest.approx(0.5 * 9, abs=1e-12)
-    with pytest.raises(DomainError):
-        level1_oracle(P_HALF, -0.5)
+    for s in (-0.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            level1_oracle(P_HALF, s)
     pr3 = Params(m=3, d=3, p=0.5)
     assert abs(level1_oracle(pr3, 1.0) - 0.5 * 9 * kappa(pr3, 1.0)) <= 1e-12
 

@@ -14,7 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_oracle import g_batch_reference, image_cover, render_svg_reference
+from exact_oracle import (
+    g_batch_reference,
+    image_cover,
+    render_svg_reference,
+    tree_from_words,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_analysis import partition_sum_exact
@@ -39,7 +44,6 @@ from percoqs.percolation import (
     sample_nonextinct,
     sample_tree,
     tree_from_json_dict,
-    tree_from_words,
 )
 from percoqs.substitution import compute_flags, level_table
 
@@ -67,25 +71,28 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
     assert main(["sample", "--depth", "2", "--seed", "2", "--nonextinct",
                  "-o", str(good)]) == EXIT_OK
     capsys.readouterr()
-    header = {"format": "percoqs-tree/1", "M": 3, "d": 2, "p": 0.7, "K": 1,
+    header = {"format": "percoqs-tree/3", "M": 3, "d": 2, "p": 0.7, "K": 1,
               "eta": [9], "seed": 0, "depth": 1}
     bad_files = {
         "not-json.json": "not json at all",
-        "no-fields.json": json.dumps({"format": "percoqs-tree/1"}),
-        "ragged.json": json.dumps({**header, "survivors": [[[]], [[1], [2, 3]]]}),
-        "strings.json": json.dumps({**header, "survivors": [[[]], [["a"]]]}),
-        "floats.json": json.dumps({**header, "survivors": [[[]], [[1.5]]]}),
+        "no-fields.json": json.dumps({"format": "percoqs-tree/3"}),
     }
+    # /1 and /2 word lists are no longer read; the one line names the format
+    retired = {}
+    for fmt in ("percoqs-tree/1", "percoqs-tree/2"):
+        name = f"retired-{fmt[-1]}.json"
+        bad_files[name] = json.dumps(
+            {**header, "format": fmt, "survivors": [[[]], [[9]]]})
+        retired[str(tmp_path / name)] = fmt
     # header fields are JSON integers (p a JSON number), never coerced
     for i, (key, value) in enumerate([
         ("M", 3.7), ("depth", 2.9), ("seed", 1.5), ("K", True), ("M", "3"),
         ("p", "0.7"), ("seed", -3), ("seed", 2**70), ("eta", [9.0]), ("p", False),
     ]):
         bad_files[f"header{i}.json"] = json.dumps(
-            {**header, key: value, "survivors": [[[]], [[1]]]})
+            {**header, key: value, "levels": ["AIA="]})
     # /3 level masks: level 1 packs the root's 9 verdicts into 2 bytes, so
     # "AIA=" (label 9 alive) is valid and each entry below is not
-    header3 = {**header, "format": "percoqs-tree/3"}
     for i, levels in enumerate([
         [], ["AIA=", "AAA="],  # not exactly depth strings
         "AIA=", [9],  # not a list of strings
@@ -94,15 +101,20 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         ["AA=="], ["AAAA"],  # 1 and 3 bytes where 2 are needed
         ["AIE="],  # a padding bit set
     ]):
-        bad_files[f"levels{i}.json"] = json.dumps({**header3, "levels": levels})
+        bad_files[f"levels{i}.json"] = json.dumps({**header, "levels": levels})
     bad_files["levels-deeper.json"] = json.dumps(
-        {**header3, "depth": 2, "levels": ["AIA=", "AAAA"]})  # 1 parent, 2 bytes
-    bad_files["no-levels.json"] = json.dumps(header3)
+        {**header, "depth": 2, "levels": ["AIA=", "AAAA"]})  # 1 parent, 2 bytes
+    bad_files["no-levels.json"] = json.dumps(header)
     bad_inputs = [["solve", "t", "--eta", "1,x"],
+                  ["solve", "t", "--eta", ""],
                   ["render", "--tree", str(good), "--levels", "1,a"],
                   ["render", "--tree", str(good), "--px", "0"],
                   ["render", "--tree", str(good), "--px", "-5"],
                   ["solve", "kappa", "--s", "-1"],
+                  # s must be finite: at inf every term is 0 and would pass
+                  ["solve", "kappa", "--s", "nan"],
+                  ["check", "martingale", "--depth", "4", "--s", "inf"],
+                  ["check", "martingale", "--depth", "4", "--s", "nan"],
                   ["check", "martingale", "--depth", "2", "--trials", "0"],
                   ["check", "qs", "--depth", "3", "--trees", "1", "--trials", "0"],
                   ["check", "qs", "--depth", "3", "--trees", "0"],
@@ -130,6 +142,7 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):
         assert main(argv) == EXIT_USAGE, argv
         err = capsys.readouterr().err
         assert err.startswith("percoqs: parameter error: ") and err.count("\n") == 1
+        assert retired.get(argv[2], "") in err
     for env in ("abc", "-1"):
         monkeypatch.setenv("PERCOQS_NODE_BUDGET", env)
         assert main(["sample", "--depth", "1"]) == EXIT_USAGE
@@ -193,15 +206,8 @@ def test_sample_writes_canonical_tree(tmp_path, capsys):
     obj = json.loads(data)
     assert obj["format"] == "percoqs-tree/3"
     assert obj["depth"] == 3 and obj["seed"] == 5
-    # the strict reader takes back what sample wrote, and /1 and /2 word
-    # lists of the same survivors read to the same tree
-    tree = tree_from_json_dict(obj)
-    assert tree.to_canonical_bytes() == data
-    header = {key: value for key, value in obj.items() if key != "levels"}
-    survivors = [tree.label_matrix(k).tolist() for k in range(4)]
-    for fmt in ("percoqs-tree/1", "percoqs-tree/2"):
-        old = {**header, "format": fmt, "survivors": survivors}
-        assert tree_from_json_dict(old).to_canonical_bytes() == data
+    # the strict reader takes back what sample wrote
+    assert tree_from_json_dict(obj).to_canonical_bytes() == data
 
 
 def test_sample_stdout_when_no_out(capsys):
@@ -322,10 +328,12 @@ def test_render_svg_chunk_boundary(chunk, monkeypatch):
         assert render_svg(tree, levels, image=image) == want
 
 
-def test_render_svg_unpacks_each_level_once(monkeypatch):
-    # one np.unpackbits per level down to the deepest panel, none below it
+def test_sweep_unpacks_each_level_once(monkeypatch):
+    # compute_flags unpacks every level's mask exactly once; the tables,
+    # f_global and pair_ratios read its sweep, and a render adds nothing
+    # to the sweep of its own compute_flags
     tree = _benchmark_shaped_trees()[1]
-    levels = [3, 1, 3, 2]
+    depth = tree.depth
     unpackbits = np.unpackbits
     calls = []
 
@@ -334,11 +342,18 @@ def test_render_svg_unpacks_each_level_once(monkeypatch):
         return unpackbits(*args, **kwargs)
 
     monkeypatch.setattr(np, "unpackbits", counted)
+    fresh = tree_from_json_dict(json.loads(tree.to_canonical_bytes()))
+    ftree = compute_flags(fresh)
+    assert len(calls) == depth
+    for level in range(depth + 1):
+        level_table(ftree, level)
+    globalmap.f_global(ftree, np.full((5, 2), 0.3), depth)
+    substitution.pair_ratios(ftree, depth, [[0, fresh.count(depth) - 1]])
+    assert len(calls) == depth
     for image in (False, True):
-        fresh = tree_from_json_dict(json.loads(tree.to_canonical_bytes()))
         calls.clear()
-        render_svg(fresh, levels, image=image)
-        assert 0 < len(calls) <= max(levels) < tree.depth
+        render_svg(fresh, [3, 1, 3, 2], image=image)
+        assert len(calls) == depth
 
 
 def test_render_depth_zero_image(tmp_path, capsys):
@@ -870,7 +885,7 @@ def test_check_global_memory_does_not_grow_with_trials(tmp_path, capsys):
 ])
 def test_checks_unpack_each_level_once(argv, tmp_path, capsys, monkeypatch):
     # flags, tables, f_global's prefixes and the pairs' meet all read the
-    # one sweep: at most one np.unpackbits per level
+    # one sweep: exactly one np.unpackbits per level
     unpackbits = np.unpackbits
     calls = []
 
@@ -881,7 +896,7 @@ def test_checks_unpack_each_level_once(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "unpackbits", counted)
     assert main([*argv, "-o", str(tmp_path / "report.json")]) == EXIT_OK
     capsys.readouterr()
-    assert 0 < len(calls) <= 8
+    assert len(calls) == 8
 
 
 def test_check_reports_are_deterministic(tmp_path, capsys):

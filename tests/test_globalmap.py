@@ -12,13 +12,14 @@ from exact_oracle import (
     g_batch_reference,
     madic_address,
     pi_finite,
+    tree_from_words,
     words,
 )
 
 from percoqs.errors import DomainError, PreconditionError
 from percoqs.globalmap import GeomConfig, f_global, g_batch
 from percoqs.lattice import Params, label_offsets
-from percoqs.percolation import sample_nonextinct, sample_tree, tree_from_words
+from percoqs.percolation import sample_nonextinct, sample_tree
 from percoqs.substitution import compute_flags
 
 P32 = Params(m=3, d=2, p=0.7)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from exact_oracle import child_labels, find, subtree, truncate, words
+from exact_oracle import child_labels, find, subtree, tree_from_words, truncate, words
 
 from percoqs.errors import CapacityError, DomainError
 from percoqs.lattice import Params
@@ -14,7 +14,6 @@ from percoqs.percolation import (
     sample_tree,
     survival_threshold,
     tree_from_json_dict,
-    tree_from_words,
 )
 
 P32 = Params(m=3, d=2, p=0.7)
@@ -290,19 +289,6 @@ def test_read_back_keeps_only_the_masks():
     assert not back.parents[3].flags.writeable and not back.labels[3].flags.writeable
 
 
-def test_version_1_tree_still_read():
-    # /1 and /2 files store their survivors as word lists, so they read
-    # back whatever rule drew them, and re-serialise as /3
-    survivors = [[()], [(3,), (9,)], [(3, 1), (9, 9)]]
-    t = tree_from_words(P32, 2, survivors)
-    header = json.loads(t.to_canonical_bytes())
-    del header["levels"]
-    for fmt in ("percoqs-tree/1", "percoqs-tree/2"):
-        obj = {**header, "format": fmt, "survivors": survivors}
-        back = tree_from_json_dict(obj)
-        assert back.to_canonical_bytes() == t.to_canonical_bytes()
-
-
 def test_tree_from_words_validation():
     with pytest.raises(DomainError, match="prefix"):
         tree_from_words(P32, 2, [[()], [(9,)], [(3, 1)]])
@@ -312,6 +298,9 @@ def test_tree_from_words_validation():
         tree_from_words(P32, 2, [[()], [(9,)]])  # missing a level
     with pytest.raises(DomainError):
         tree_from_words(P32, 1, [[(1,)], [(1, 1)]])  # bad level 0
+    for level1 in ([(1,), (2, 3)], [("a",)], [(1.5,)], [(10,)]):
+        with pytest.raises(DomainError):  # ragged, strings, floats, a bad label
+            tree_from_words(P32, 1, [[()], level1])
     t = tree_from_words(P32, 2, [[()], [(9,), (3,)], [(3, 1), (9, 9)]])
     assert words(t, 1) == [(3,), (9,)]
     assert child_labels(t, 1, find(t, (9,))) == (9,)

@@ -12,6 +12,7 @@ from exact_oracle import (
     pi_finite,
     subtree,
     tilde,
+    tree_from_words,
     words,
 )
 from hypothesis import given, settings
@@ -20,12 +21,7 @@ from test_acceptance import _int_corners, _tilde_codes
 
 from percoqs.errors import DomainError, PreconditionError
 from percoqs.lattice import Params
-from percoqs.percolation import (
-    derive_seed,
-    sample_nonextinct,
-    sample_tree,
-    tree_from_words,
-)
+from percoqs.percolation import derive_seed, sample_nonextinct, sample_tree
 from percoqs.substitution import compute_flags, level_table, pair_ratios
 
 P32 = Params(m=3, d=2, p=0.7)
